@@ -107,13 +107,16 @@ def end_to_end(wl, passes: list[dict], setups: list[float]) -> tuple[dict, dict]
 
     On a shared 2-vCPU virtual machine the CPU was seen to alternate between
     a fast mode and one about 1.5-2x slower, for tens of milliseconds to
-    seconds at a time.  An op's best time over the passes estimates its cost
-    outside the slow mode, so ``solve_s`` and ``op_p50_ms`` use it.  The
-    tail (printed, not gated) uses each op's median: the slowest best times
-    belong to ops that never met the fast mode.
+    seconds at a time.  An op's best time over the passes (and over its
+    copies in a pass, where an input repeats) estimates its cost outside the
+    slow mode, so ``solve_s`` and ``op_p50_ms`` use it.  The tail (printed,
+    not gated) uses each op's median: the slowest best times belong to ops
+    that never met the fast mode.
     """
     n = len(wl.ops)
-    best = [min(p["times_ns"][i] for p in passes) / 1e6 for i in range(n)]
+    keys = [json.dumps(op, sort_keys=True) for op in wl.ops]
+    best = [t / 1e6 for t in stats.best_times(
+        [[p["times_ns"][i] for p in passes] for i in range(n)], keys)]
     typical = [stats.median(p["times_ns"][i] for p in passes) / 1e6 for i in range(n)]
     values = {
         "setup_s": stats.median(setups),

@@ -6,6 +6,7 @@ Kept free of numpy and of the package under test so the tests in
 
 from __future__ import annotations
 
+import math
 import statistics
 
 # A reported tail percentile must leave at least this many samples beyond it,
@@ -33,6 +34,18 @@ def tail(values, beyond: int = TAIL_BEYOND) -> tuple[float, float, int] | None:
         return None
     i = k - beyond - 1
     return float(ordered[i]), 100.0 * (i + 1) / k, k
+
+
+def best_times(samples, keys) -> list[float]:
+    """Each op's best time, pooled over the ops that share its key.
+
+    ``samples[i]`` holds op i's times; ops with equal ``keys`` are the same
+    input run several times a pass, so each gets the best of all their samples.
+    """
+    pooled = {}
+    for key, times in zip(keys, samples):
+        pooled[key] = min(pooled.get(key, math.inf), min(times))
+    return [pooled[key] for key in keys]
 
 
 def ratio(numerator: int, base: int) -> float:

@@ -41,6 +41,12 @@ def test_no_tail_below_hundred_samples():
         assert stats.tail(range(k)) is None
 
 
+def test_best_times_pool_repeated_inputs():
+    samples = [[5.0, 3.0], [4.0, 6.0], [2.0, 9.0], [7.0, 1.0]]
+    assert stats.best_times(samples, ["a", "b", "a", "c"]) == [2.0, 4.0, 2.0, 1.0]
+    assert stats.best_times(samples, ["a", "b", "c", "d"]) == [3.0, 4.0, 2.0, 1.0]
+
+
 def test_ratio_bases():
     assert stats.ratio(3, 4) == 0.75
     assert stats.ratio(0, 0) == 0.0

@@ -47,21 +47,27 @@ def _report(path: Path) -> dict:
 
 class Sieve:
     """``sieve --limit L`` for L log-uniform in [1e5, 4e6], two antithetic
-    pairs per half of the log range, plus 1e5, 4e6 and three copies of their
-    geometric mean.  The mean is then the median op, measured three times a
-    pass, since one op of well under a second is too short to be steady."""
+    pairs per half of the log range, plus 1e5, 4e6 and seven copies of their
+    geometric mean.  The mean is then the median op.  Two passes fit in a
+    run, and one sample of an op of about half a second often falls wholly
+    in the CPU's slow mode, so its copies are spread evenly through the pass
+    to give its best time fourteen chances to meet the fast mode."""
 
-    LO, HI, STRATA, MID_COPIES = 100_000, 4_000_000, 2, 3
+    LO, HI, STRATA, MID_COPIES = 100_000, 4_000_000, 2, 7
 
     def __init__(self, seed: int) -> None:
         rng = random.Random(f"sieve-{seed}")
         lo, hi = math.log(self.LO), math.log(self.HI)
         mid = (lo + hi) / 2
-        limits = [self.LO, self.HI] + [round(math.exp(mid))] * self.MID_COPIES
+        others = [self.LO, self.HI]
         for start in (lo, mid):
-            limits += [round(math.exp(start + u * (mid - lo))) for u in _pairs(rng, self.STRATA)]
-        rng.shuffle(limits)
-        self.ops = limits
+            others += [round(math.exp(start + u * (mid - lo))) for u in _pairs(rng, self.STRATA)]
+        rng.shuffle(others)
+        k = self.MID_COPIES
+        self.ops = []
+        for i in range(k):
+            self.ops += others[i * len(others) // k:(i + 1) * len(others) // k]
+            self.ops.append(round(math.exp(mid)))
 
     def params(self) -> dict:
         return {"limits": self.ops}
@@ -128,7 +134,7 @@ class Increments:
     s in {s*} plus seeded s in [0.15, 0.8]; one op is one window."""
 
     S_STAR = 0.39191162
-    S_LO, S_HI, S_DRAWN, N = 0.15, 0.8, 4, 1300
+    S_LO, S_HI, S_DRAWN, N = 0.15, 0.8, 4, 650
     SAMPLE_EXACT, SAMPLE_MPMATH, EXACT_N_MAX = 12, 4, 200
     REL_TOL = 1e-12
 
@@ -189,13 +195,13 @@ class Verify:
 
     The seed assigns the suites and grid sizes to the ops (a permutation of
     a fixed set) and draws each op's ``--seed``, which picks the random
-    instances.  The set itself is fixed because one op's cost spans 30x
+    instances.  The set itself is fixed because one op's cost spans about 20x
     across it: drawing sizes freely would move ``solve_s`` and the median op
     with the seed.
     """
 
     SUITES = ("identities", "inequalities", "selberg", "all")
-    GRIDS = ((5, 4, 40), (8, 5, 80), (11, 6, 120), (14, 7, 160))  # max_n, max_ab, count
+    GRIDS = ((4, 4, 40), (5, 4, 50), (6, 5, 60), (8, 5, 80))  # max_n, max_ab, count
     COPIES = 2
     MAX_IJ = 6  # the CLI default, needed to count the inequality grid
 
