@@ -252,14 +252,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    if args.limit < 1:
-        print("error: --limit must be >= 1", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
     try:
         table = primes.build_table(args.limit)
-    except MemoryError:
-        print(f"error: --limit {args.limit} exceeds available memory", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # bad --limit, or too large for memory
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     m = args.limit
     # Self-checks: increments stored exactly; psi matches ln lcm(1..m) at
@@ -277,7 +274,12 @@ def _cmd_sieve(args) -> int:
             name="psi_equals_ln_lcm",
             passed=lcm_ok,
             cases=1,
-            witness={"probe": probe, "psi": primes.psi(table, probe)},
+            witness={
+                "probe": probe,
+                "psi": primes.psi(table, probe),
+                "psi_at_limit": primes.psi(table, m),
+                "psi1_at_limit": primes.psi1(table, m),
+            },
         ),
         report.Check(
             name="psi1_increments_exact",
@@ -292,8 +294,6 @@ def _cmd_sieve(args) -> int:
         checks=checks,
         elapsed=(time.perf_counter() - t0) * 1000.0,
     )
-    rep.checks[0].witness["psi_at_limit"] = primes.psi(table, m)
-    rep.checks[0].witness["psi1_at_limit"] = primes.psi1(table, m)
     return _finish(rep, args.format, args.out)
 
 

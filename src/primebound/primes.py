@@ -4,23 +4,18 @@ The central object is :class:`PrimeTable`, built once per limit:
 
 * ``mangoldt_base[m]`` holds p when m = p^k is a prime power and 0
   otherwise, so Lambda(m) = ln(mangoldt_base[m]) with the convention
-  ln(0) -> 0.  Classification uses a smallest-prime-factor sieve and a
-  vectorised divide-out pass, all in numpy.
+  ln(0) -> 0.  A smallest-prime-factor sieve finds the primes, and the
+  few powers p^k with p <= sqrt(limit) are marked directly.
 * ``psi_cum[m]`` = psi(m) = sum_{j<=m} Lambda(j) as a correctly-rounded
-  float.  The cumulative sums are evaluated in double-double arithmetic
-  (an unevaluated hi+lo pair per entry) via a vectorised parallel prefix
-  scan.  Every Lambda value is a float, i.e. an integer multiple of the
-  quantum 2^-53 once scaled, and the running totals stay below 2^20 for
-  any table this package builds, so the hi+lo pair represents each
-  partial sum *exactly* (the required ~73 bits fit comfortably in the
-  106 available).  psi_cum is the correctly rounded head of that exact
-  pair, which makes it monotone.
-* ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), accumulated the
-  same way but over the *stored* psi floats.  Partial sums stay below
-  2^39 at limit 1e6 (2^46 at 1e7) on the same 2^-53 grid, again exact in
-  double-double.  Consequence: the stored increment
-  psi_1(m) - psi_1(m-1) equals the stored psi(m) exactly, bit for bit,
-  which :func:`psi1_increment` exposes.
+  float.  Every Lambda value is 0 or at least ln 2, hence an integer
+  multiple of 2^-53; the values times 2^53 are summed exactly as int64
+  limbs with carries, and psi_cum is each exact sum rounded once, which
+  makes it monotone.
+* ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), summed the same
+  way over the *stored* psi floats: hi is correctly rounded and lo the
+  exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So the
+  stored increment psi_1(m) - psi_1(m-1) equals the stored psi(m)
+  exactly, bit for bit, which :func:`psi1_increment` exposes.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -29,6 +24,7 @@ each other and against psi: ln lcm(1..m) = psi(m).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -45,45 +41,51 @@ _LCM: list[int] = [1, 1]
 
 
 # ----------------------------------------------------------------------
-# double-double helpers (vectorised)
-# ----------------------------------------------------------------------
-
-def _two_sum_vec(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Branch-free Knuth two-sum; exact for any float inputs.
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
-def _dd_prefix_sum(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive prefix sum of ``values`` in double-double precision.
-
-    Hillis-Steele scan: ceil(log2 n) vectorised passes, each combining
-    shifted copies with two-sum and renormalising.  When all inputs and
-    all partial sums are representable on a shared 2^-53 grid within 106
-    bits (true for the psi/psi_1 tables, see module docstring), the
-    returned (hi, lo) pairs are exact.
-    """
-    hi = np.array(values, dtype=np.float64, copy=True)
-    lo = np.zeros_like(hi)
-    n = hi.size
-    d = 1
-    while d < n:
-        s, e = _two_sum_vec(hi[d:], hi[:-d])
-        e = e + (lo[d:] + lo[:-d])
-        # quick renormalisation: |e| <= ulp(s) here, so one pass suffices
-        h2 = s + e
-        l2 = e - (h2 - s)
-        hi[d:] = h2
-        lo[d:] = l2
-        d *= 2
-    return hi, lo
-
-
-# ----------------------------------------------------------------------
 # sieve and table construction
 # ----------------------------------------------------------------------
+
+# Limb sums are exact while psi_1(limit) < 2^52; psi(m) < 1.03883 m gives psi_1(9e7) < 4.3e15.
+MAX_LIMIT = 90_000_000
+
+_LIMB = 26
+_MASK = (1 << _LIMB) - 1
+
+
+def _exact_prefix_sum(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive prefix sum of nonnegative multiples of 2^-53, as (hi, lo).
+
+    ``values * 2^53`` is split exactly into a top limb (multiples of 2^52)
+    and two 26-bit limbs, each summed in int64 with carries propagated.
+    The sum is a + b, a = top * 2^52 and b < 2^52 both exact floats, so
+    hi = fl(a + b) is correctly rounded and lo = b - (hi - a) is its exact
+    tail (fast two-sum: a = 0 or a > b).  Exact for totals below 2^52.
+    """
+    low, top = np.modf(values * 2.0)  # values * 2^53 = (top + low) * 2^52
+    low *= 2.0**52
+    top, low = top.astype(np.int64), low.astype(np.int64)
+    mid = low >> _LIMB
+    low &= _MASK
+    np.cumsum(top, out=top)
+    np.cumsum(mid, out=mid)
+    np.cumsum(low, out=low)
+    mid += low >> _LIMB
+    low &= _MASK
+    top += mid >> _LIMB
+    mid &= _MASK
+    mid <<= _LIMB
+    mid |= low
+    del low
+    lo = mid.astype(np.float64)
+    a = top.astype(np.float64)
+    del top, mid
+    a *= 2.0**52
+    hi = a + lo
+    a -= hi  # exactly -(hi - a), so lo becomes b - (hi - a)
+    lo += a
+    hi /= 2.0**53
+    lo /= 2.0**53
+    return hi, lo
+
 
 def _smallest_prime_factor(limit: int) -> np.ndarray:
     """spf[m] = smallest prime factor of m (0 for m < 2), for 0 <= m <= limit."""
@@ -101,21 +103,16 @@ def _smallest_prime_factor(limit: int) -> np.ndarray:
 
 
 def _mangoldt_base(limit: int) -> np.ndarray:
-    """base[m] = p if m = p^k (k >= 1) else 0, vectorised divide-out."""
+    """base[m] = p if m = p^k (k >= 1) else 0: primes from the SPF sieve, powers marked."""
     spf = _smallest_prime_factor(limit)
-    p = spf.astype(np.int64)
-    q = np.arange(limit + 1, dtype=np.int64)
-    safe = np.where(p > 1, p, np.int64(2))
-    active = p > 1
-    # Strip the smallest prime factor repeatedly; m is a prime power
-    # exactly when nothing but 1 remains.  At most log2(limit) passes.
-    while active.any():
-        div = active & (q % safe == 0)
-        if not div.any():
-            break
-        q[div] //= safe[div]
-        active = div & (q > 1)
-    base = np.where((q == 1) & (np.arange(limit + 1) >= 2), p, np.int64(0))
+    p = np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=spf.dtype)) + 2
+    base = np.zeros(limit + 1, dtype=np.int64)
+    base[p] = p
+    for q in p[p <= math.isqrt(limit)].tolist():
+        pk = q * q
+        while pk <= limit:
+            base[pk] = q
+            pk *= q
     return base
 
 
@@ -132,8 +129,8 @@ class PrimeTable:
     psi_cum:
         float64; psi(m), correctly rounded, nondecreasing.
     psi1_hi, psi1_lo:
-        double-double pair for psi_1(m); hi is correctly rounded and the
-        pair is exact on the shared 2^-53 grid (limits up to ~1e7).
+        float64; psi_1(m) summed exactly over the stored psi values: hi
+        correctly rounded, lo the exact remainder (limits <= MAX_LIMIT).
     """
 
     limit: int
@@ -144,22 +141,22 @@ class PrimeTable:
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve and accumulate all tables up to ``limit`` (>= 1)."""
-    if limit < 1:
-        raise ValueError(f"build_table requires limit >= 1, got {limit}")
+    """Sieve and accumulate all tables up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
+    if not 1 <= limit <= MAX_LIMIT:
+        raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {limit}")
     base = _mangoldt_base(limit)
-    lam = np.where(base > 0, np.log(np.maximum(base, 1).astype(np.float64)), 0.0)
-    psi_hi, _ = _dd_prefix_sum(lam)
-    # psi_hi is the correctly rounded head of the exact double-double
-    # cumulative sum; the tail is deliberately dropped so that psi_1 is
-    # an exact running sum over the *stored* psi values.
-    psi1_hi, psi1_lo = _dd_prefix_sum(psi_hi)
-    for arr in (base, psi_hi, psi1_hi, psi1_lo):
+    lam = np.log(np.maximum(base, 1).astype(np.float64))  # ln 1 = 0 off prime powers
+    psi_cum = _exact_prefix_sum(lam)[0]
+    del lam
+    # The tail of psi is dropped, so psi_1 is the exact running sum of the
+    # *stored* psi values.
+    psi1_hi, psi1_lo = _exact_prefix_sum(psi_cum)
+    for arr in (base, psi_cum, psi1_hi, psi1_lo):
         arr.setflags(write=False)
     return PrimeTable(
         limit=limit,
         mangoldt_base=base,
-        psi_cum=psi_hi,
+        psi_cum=psi_cum,
         psi1_hi=psi1_hi,
         psi1_lo=psi1_lo,
     )
@@ -197,7 +194,7 @@ def psi1(table: PrimeTable, x: float) -> float:
 
 
 def psi1_increment(table: PrimeTable, m: int) -> float:
-    """psi_1(m) - psi_1(m-1) evaluated exactly in the stored double-double pairs.
+    """psi_1(m) - psi_1(m-1) evaluated exactly in the stored (hi, lo) pairs.
 
     By construction this equals the stored psi(m) bit for bit; it exists
     so that consumers (and tests) can witness the identity without
@@ -239,18 +236,20 @@ def lcm_upto_prime_powers(m: int) -> int:
     """d_m as the product over primes p <= m of the largest p^k <= m.
 
     Independent of :func:`lcm_upto` (no shared code path, no cache); used
-    as its cross-checking oracle.
+    as its cross-checking oracle.  Primes above sqrt(m) enter only to the
+    first power.
     """
     if m < 1:
         raise ValueError(f"lcm_upto_prime_powers requires m >= 1, got {m}")
-    is_comp = bytearray(m + 1)
-    result = 1
-    for p in range(2, m + 1):
-        if not is_comp[p]:
-            for mult in range(p * p, m + 1, p):
-                is_comp[mult] = 1
-            pw = p
-            while pw * p <= m:
-                pw *= p
-            result *= pw
+    r = math.isqrt(m)
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (m - 1)
+    for p in range(2, r + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    result = math.prod(itertools.compress(range(r + 1, m + 1), is_prime[r + 1 :]))
+    for p in itertools.compress(range(r + 1), is_prime[: r + 1]):
+        pw = p
+        while pw * p <= m:
+            pw *= p
+        result *= pw
     return result

@@ -95,6 +95,17 @@ def test_sieve_self_checks(capsys):
     assert names["psi_equals_ln_lcm"]["witness"]["psi_at_limit"] > 0
 
 
+def test_sieve_limit_past_exactness_cap_exits_two(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("a table was allocated before the limit was checked")
+
+    monkeypatch.setattr(cli.primes, "_smallest_prime_factor", no_sieve)
+    code, out, err = run_cli(capsys, ["sieve", "--limit", "90000001"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ----------------------------------------------------------------------
 # table kinds and the CSV contract
 # ----------------------------------------------------------------------

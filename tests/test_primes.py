@@ -6,6 +6,7 @@ incremental prime-power product for d_m, and Fraction-free float
 reconstruction for the stored-increment identity.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_build_table_rejects_bad_limit():
         primes.build_table(0)
     with pytest.raises(ValueError):
         primes.build_table(-3)
+
+
+def _no_sieve(limit):
+    raise AssertionError("a table was allocated before the limit was checked")
+
+
+def test_build_table_refuses_limit_past_exactness_cap(monkeypatch):
+    # The sieve is stubbed out so that a guard placed after the allocation
+    # fails here instead of asking for the several GB a 9e7 table takes.
+    monkeypatch.setattr(primes, "_smallest_prime_factor", _no_sieve)
+    with pytest.raises(ValueError):
+        primes.build_table(90_000_001)
 
 
 def test_limit_one_table():
@@ -157,6 +170,33 @@ def test_psi1_increment_equals_stored_psi_million(table_million):
     assert np.array_equal(s + err, t.psi_cum[1:])
     for m in (2, 3, 1000, 999_983, 1_000_000):
         assert primes.psi1_increment(t, m) == primes.psi(t, m)
+
+
+def test_tables_equal_exact_integer_sums(table_million):
+    """Every entry against prefix sums in Python ints, scaled by 2^53.
+
+    Each Lambda(m) and each stored psi(m) is 0 or at least ln 2, so times
+    2^53 it is an exact integer S; S / 2**53 is then the correctly rounded
+    sum, and psi1_lo must hold the exact rest of psi1_hi.
+    """
+    t = table_million
+    q = 2**53
+    lam = np.log(np.maximum(t.mangoldt_base, 1).astype(np.float64))
+    psi_sums = itertools.accumulate(int(x * q) for x in lam.tolist())
+    bad_psi = [
+        m for m, (s, got) in enumerate(zip(psi_sums, t.psi_cum.tolist(), strict=True))
+        if s / q != got
+    ]
+    assert not bad_psi, bad_psi[:5]
+    psi1_sums = itertools.accumulate(int(x * q) for x in t.psi_cum.tolist())
+    bad_psi1 = [
+        m
+        for m, (s, hi, lo) in enumerate(
+            zip(psi1_sums, t.psi1_hi.tolist(), t.psi1_lo.tolist(), strict=True)
+        )
+        if s / q != hi or lo * q != s - int(hi * q)
+    ]
+    assert not bad_psi1, bad_psi1[:5]
 
 
 def test_psi1_increment_validation(table_small):
