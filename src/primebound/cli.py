@@ -136,11 +136,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    if not (0.0 < args.lo <= args.hi):
-        print("error: need 0 < --lo <= --hi", file=sys.stderr)
+    if not (0.0 < args.lo <= args.hi and math.isfinite(args.hi)):
+        print("error: need finite 0 < --lo <= --hi", file=sys.stderr)
         return 2
-    if args.tol <= 0.0:
-        print("error: need --tol > 0", file=sys.stderr)
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        print("error: need finite --tol > 0", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     res = bounds.optimize_s(args.lo, args.hi, args.tol)
@@ -186,8 +186,8 @@ def _table_psi1(args) -> tuple[list[str], list[list], bool]:
 def _table_increments(args) -> tuple[list[str], list[list], bool]:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise argparse.ArgumentTypeError("need 1 <= --n-min <= --n-max")
-    if args.s <= 0:
-        raise argparse.ArgumentTypeError("--s must be positive")
+    if not 0.0 < args.s <= 1.0:
+        raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
     if math.floor(args.s * args.n_min) < 1:
         raise argparse.ArgumentTypeError("--n-min too small: floor(s*n) must be >= 1")
     top = 2 * int(math.floor(args.s * args.n_max)) + 2 * args.n_max
@@ -206,8 +206,8 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
 
 def _table_gap(args) -> tuple[list[str], list[list], bool]:
     ns = _parse_int_list(args.n, "--n")
-    if args.s <= 0:
-        raise argparse.ArgumentTypeError("--s must be positive")
+    if not 0.0 < args.s <= 1.0:
+        raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
     if any(math.floor(args.s * n) < 1 for n in ns):
         raise argparse.ArgumentTypeError("every --n must satisfy floor(s*n) >= 1")
     f = bounds.f_coeff(args.s)

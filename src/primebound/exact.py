@@ -15,23 +15,22 @@ care goes, and the rules used throughout the package are:
   ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
   relative error below 1e-15 even for million-digit inputs.
 
-Factorial and log-factorial values are memoised in growing tables guarded
-by a lock, so repeated sweeps over (alpha, beta, n) grids pay for each
-value once.
+Factorial, log-factorial and log-superfactorial values are memoised in
+tables that grow on demand, so repeated sweeps over (alpha, beta, n) grids
+pay for each value once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 LN2 = math.log(2.0)
 
-_lock = threading.Lock()
-
-# _FACT[n] == n!   and   _LNF[n] == ln(n!), both extended on demand.
+# _FACT[n] == n!,  _LNF[n] == ln(n!)  and  _LSF[k] == sum(ln j!, j < k),
+# all extended on demand.
 _FACT: list[int] = [1]
 _LNF: list[float] = [0.0]
+_LSF: list[float] = [0.0]
 
 
 class CompensatedSum:
@@ -61,9 +60,11 @@ class CompensatedSum:
         return self.s + self.c
 
 
-# Running compensated accumulator holding sum(ln k, k <= len(_LNF)-1),
-# i.e. the state needed to extend _LNF without re-summing from scratch.
+# Running compensated accumulators holding sum(ln k, k <= len(_LNF)-1) and
+# sum(ln j!, j < len(_LSF)-1), i.e. the state needed to extend _LNF and
+# _LSF without re-summing from scratch.
 _LNF_ACC = CompensatedSum()
+_LSF_ACC = CompensatedSum()
 
 
 def comp_sum(terms) -> float:
@@ -87,11 +88,10 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
     if n >= len(_FACT):
-        with _lock:
-            f = _FACT[-1]
-            for k in range(len(_FACT), n + 1):
-                f *= k
-                _FACT.append(f)
+        f = _FACT[-1]
+        for k in range(len(_FACT), n + 1):
+            f *= k
+            _FACT.append(f)
     return _FACT[n]
 
 
@@ -104,11 +104,27 @@ def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError(f"log_factorial requires n >= 0, got {n}")
     if n >= len(_LNF):
-        with _lock:
-            for k in range(len(_LNF), n + 1):
-                _LNF_ACC.add(math.log(k))
-                _LNF.append(_LNF_ACC.value)
+        for k in range(len(_LNF), n + 1):
+            _LNF_ACC.add(math.log(k))
+            _LNF.append(_LNF_ACC.value)
     return _LNF[n]
+
+
+def log_superfactorial(k: int) -> float:
+    """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G), from a compensated running table.
+
+    Built from the :func:`log_factorial` table the same way that table is
+    built from ln k, so a ratio of superfactorials such as
+    prod_{j=lo}^{hi-1} j! is a difference of two lookups.
+    """
+    if k < 0:
+        raise ValueError(f"log_superfactorial requires k >= 0, got {k}")
+    if k >= len(_LSF):
+        log_factorial(k - 1)
+        for j in range(len(_LSF) - 1, k):
+            _LSF_ACC.add(_LNF[j])
+            _LSF.append(_LSF_ACC.value)
+    return _LSF[k]
 
 
 def pochhammer(x: int, k: int) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ import numpy as np
 from .exact import two_sum
 
 _LCM_CACHE_MAX = 2048
-_lcm_lock = threading.Lock()
 
 # _LCM[m] == lcm(1, ..., m); index 0 is a padding entry.
 _LCM: list[int] = [1, 1]
@@ -221,9 +219,8 @@ def lcm_upto(m: int) -> int:
     if m < len(_LCM):
         return _LCM[m]
     top = min(m, _LCM_CACHE_MAX)
-    with _lcm_lock:
-        while len(_LCM) <= top:
-            _LCM.append(math.lcm(_LCM[-1], len(_LCM)))
+    while len(_LCM) <= top:
+        _LCM.append(math.lcm(_LCM[-1], len(_LCM)))
     if m < len(_LCM):
         return _LCM[m]
     v = _LCM[-1]

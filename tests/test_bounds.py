@@ -49,6 +49,12 @@ def test_bound_params_floor_and_validation():
         bounds.BoundParams(s=0.1, n=3)  # floor(s*n) = 0 is rejected, not clamped
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan, 1.5, -math.inf])
+def test_bound_params_refuses_s_outside_unit_interval(s):
+    with pytest.raises(ValueError, match=r"s must be in \(0, 1\]"):
+        bounds.BoundParams(s=s, n=5)
+
+
 def test_delta_exact_fixtures():
     assert bounds.delta_exact(bounds.BoundParams(s=0.9, n=2)) == Fraction(1, 12)
     assert bounds.delta_exact(bounds.BoundParams(s=1.0, n=2)) == Fraction(1, 720)
@@ -99,6 +105,35 @@ def test_log_delta_tracks_exact_value_to_n_sixty():
 def test_log_delta_large_n_runs():
     v = bounds.log_delta(bounds.BoundParams(s=S_TARGET, n=5000))
     assert v < 0 and math.isfinite(v)
+
+
+S_SWEEP = (0.05, 0.15, S_TARGET, 0.8, 1.0)
+
+
+def test_log_delta_matches_exact_value_to_n_two_hundred():
+    # delta_exact(200) takes a few tenths of a second, so only two n above 60.
+    for s in S_SWEEP:
+        for n in [*range(1, 61), 100, 200]:
+            if math.floor(s * n) < 1:
+                continue
+            p = bounds.BoundParams(s=s, n=n)
+            oracle = _log_fraction(bounds.delta_exact(p))
+            assert abs(bounds.log_delta(p) - oracle) <= 1e-13 * abs(oracle), (s, n)
+
+
+def test_log_delta_matches_lgamma_sum_to_twenty_thousand():
+    # Oracle: math.lgamma per factorial, summed exactly by math.fsum.
+    for s in S_SWEEP:
+        for n in (250, 1000, 5000, 20000):
+            p = bounds.BoundParams(s=s, n=n)
+            a = p.a
+            oracle = math.fsum(
+                t
+                for j in range(n)
+                for t in (2.0 * math.lgamma(a + j), math.lgamma(j + 1),
+                          -math.lgamma(2 * a + n + j - 1))
+            )
+            assert abs(bounds.log_delta(p) - oracle) <= 1e-12 * abs(oracle), (s, n)
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +223,22 @@ def test_optimize_validation():
         bounds.optimize_s(0.1, 0.9, 0.0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, tol",
+    [
+        (0.1, 0.9, math.nan),
+        (0.1, 0.9, math.inf),
+        (math.nan, 0.9, 1e-9),
+        (0.1, math.nan, 1e-9),
+        (0.1, math.inf, 1e-9),
+        (math.inf, math.inf, 1e-9),
+    ],
+)
+def test_optimize_refuses_non_finite_arguments(lo, hi, tol):
+    with pytest.raises(ValueError, match="finite"):
+        bounds.optimize_s(lo, hi, tol)
+
+
 def test_coarse_grid_maximum_location():
     cs = {s / 10: bounds.chain_constant(s / 10).c for s in range(1, 10)}
     best = max(cs, key=cs.get)
@@ -241,6 +292,16 @@ def test_increment_sweep_both_offsets(table_small):
         tighter = bounds.increment_check(table_small, p, offset=-3)
         assert tighter.holds
         assert tighter.margin > 0
+
+
+def test_increment_inequality_to_n_hundred_thousand(table_million):
+    # O(1) log_delta makes the full sweep cheap; the top window is 2a+2n = 278382.
+    failures = [
+        n
+        for n in range(3, 100_001)
+        if not bounds.increment_check(table_million, bounds.BoundParams(s=S_TARGET, n=n)).holds
+    ]
+    assert failures == []
 
 
 def test_increment_window_validation(table_small):

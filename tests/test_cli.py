@@ -225,6 +225,51 @@ def test_usage_errors_exit_two(capsys, argv):
     capsys.readouterr()  # swallow argparse/stderr noise
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--kind", "increments", "--s", "inf"],
+        ["table", "--kind", "increments", "--s", "nan"],
+        ["table", "--kind", "increments", "--s", "1.5"],
+        ["table", "--kind", "asymptotic-gap", "--s", "inf", "--n", "3"],
+        ["table", "--kind", "asymptotic-gap", "--s", "nan", "--n", "3"],
+        ["table", "--kind", "asymptotic-gap", "--s", "1e7", "--n", "3"],
+    ],
+)
+def test_s_outside_unit_interval_exits_two(capsys, monkeypatch, argv):
+    # The guard must fire before any table is built or grown.
+    def no_tables(*args, **kwargs):
+        raise AssertionError("table built for an out-of-domain s")
+
+    monkeypatch.setattr(cli.primes, "build_table", no_tables)
+    monkeypatch.setattr(cli.bounds, "log_superfactorial", no_tables)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: --s must be in (0, 1]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--tol", "nan"],
+        ["optimize", "--tol", "inf"],
+        ["optimize", "--lo", "nan"],
+        ["optimize", "--hi", "nan"],
+        ["optimize", "--hi", "inf"],
+        ["optimize", "--lo", "inf", "--hi", "inf"],
+    ],
+)
+def test_optimize_non_finite_arguments_exit_two(capsys, monkeypatch, argv):
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimize_s ran on a non-finite argument")
+
+    monkeypatch.setattr(cli.bounds, "optimize_s", no_search)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need finite")
+
+
 def test_unwritable_out_exits_two(capsys):
     code, _, err = run_cli(
         capsys,

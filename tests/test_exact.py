@@ -144,6 +144,26 @@ def test_log_factorial_rejects_negative():
         exact.log_factorial(-2)
 
 
+def test_log_superfactorial_small_values():
+    assert exact.log_superfactorial(0) == 0.0
+    assert exact.log_superfactorial(1) == 0.0
+    assert exact.log_superfactorial(2) == 0.0
+    assert math.isclose(exact.log_superfactorial(3), math.log(2), rel_tol=1e-15)
+    assert math.isclose(exact.log_superfactorial(4), math.log(12), rel_tol=1e-15)
+
+
+def test_log_superfactorial_matches_exact_product():
+    # Oracle: ln of the exact integer prod_{j<k} j!, built without the tables.
+    for k in (10, 100, 400):
+        oracle = exact.log_int(math.prod(math.factorial(j) for j in range(k)))
+        assert math.isclose(exact.log_superfactorial(k), oracle, rel_tol=1e-14)
+
+
+def test_log_superfactorial_rejects_negative():
+    with pytest.raises(ValueError):
+        exact.log_superfactorial(-1)
+
+
 def test_log_int_small_and_huge():
     assert exact.log_int(1) == 0.0
     assert exact.log_int(7) == math.log(7)
