@@ -177,14 +177,14 @@ class OptimizationResult:
 
 
 def optimize_s(lo: float, hi: float, tol: float) -> OptimizationResult:
-    """Maximise c(s) on [lo, hi] by grid scan + golden-section refinement.
+    """Maximise c(s) on [lo, hi] within (0, 1] by grid scan + golden-section refinement.
 
     Deterministic: a fixed 64-point scan brackets the peak, then
     golden-section narrows the bracket below ``tol`` (c is unimodal on
     (0, 1), so the combination is reliable); iteration count is capped.
     """
-    if not (0.0 < lo <= hi and math.isfinite(hi)):
-        raise ValueError(f"need finite 0 < lo <= hi, got lo={lo}, hi={hi}")
+    if not 0.0 < lo <= hi <= 1.0:
+        raise ValueError(f"need finite 0 < lo <= hi <= 1, got lo={lo}, hi={hi}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"need finite tol > 0, got {tol}")
     evals = 0

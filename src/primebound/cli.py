@@ -136,8 +136,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    if not (0.0 < args.lo <= args.hi and math.isfinite(args.hi)):
-        print("error: need finite 0 < --lo <= --hi", file=sys.stderr)
+    if not 0.0 < args.lo <= args.hi <= 1.0:
+        print("error: need finite 0 < --lo <= --hi <= 1", file=sys.stderr)
         return 2
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         print("error: need finite --tol > 0", file=sys.stderr)

@@ -239,6 +239,17 @@ def test_optimize_refuses_non_finite_arguments(lo, hi, tol):
         bounds.optimize_s(lo, hi, tol)
 
 
+@pytest.mark.parametrize("hi", [1.5, 1e300])
+def test_optimize_refuses_hi_above_one(hi):
+    with pytest.raises(ValueError, match="<= 1"):
+        bounds.optimize_s(0.1, hi, 1e-9)
+
+
+def test_optimize_accepts_hi_one():
+    res = bounds.optimize_s(0.01, 1.0, 1e-9)
+    assert abs(res.s_star - S_TARGET) <= 1e-6
+
+
 def test_coarse_grid_maximum_location():
     cs = {s / 10: bounds.chain_constant(s / 10).c for s in range(1, 10)}
     best = max(cs, key=cs.get)

@@ -99,7 +99,7 @@ def test_sieve_limit_past_exactness_cap_exits_two(capsys, monkeypatch):
     def no_sieve(limit):
         raise AssertionError("a table was allocated before the limit was checked")
 
-    monkeypatch.setattr(cli.primes, "_smallest_prime_factor", no_sieve)
+    monkeypatch.setattr(cli.primes, "_mangoldt_base", no_sieve)
     code, out, err = run_cli(capsys, ["sieve", "--limit", "90000001"])
     assert code == 2
     assert out == ""
@@ -268,6 +268,24 @@ def test_optimize_non_finite_arguments_exit_two(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: need finite")
+
+
+@pytest.mark.parametrize("hi", ["1.5", "1e300"])
+def test_optimize_hi_above_one_exits_two(capsys, monkeypatch, hi):
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimize_s ran outside s in (0, 1]")
+
+    monkeypatch.setattr(cli.bounds, "optimize_s", no_search)
+    code, out, err = run_cli(capsys, ["optimize", "--hi", hi])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_optimize_hi_one_passes(capsys):
+    code, out, _ = run_cli(capsys, ["optimize", "--hi", "1.0", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["checks"][0]["status"] == "pass"
 
 
 def test_unwritable_out_exits_two(capsys):

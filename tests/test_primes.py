@@ -43,6 +43,48 @@ def _spf_sieve(limit: int) -> list:
     return spf
 
 
+def _bytearray_mangoldt_base(limit: int) -> list:
+    """base[m] = p if m = p^k (k >= 1) else 0, by a pure-Python bytearray sieve."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    base = [0] * (limit + 1)
+    for p in itertools.compress(range(limit + 1), is_prime):
+        pk = p
+        while pk <= limit:
+            base[pk] = p
+            pk *= p
+    return base
+
+
+def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
+    """Indices m where psi_cum, psi1_hi or psi1_lo differ from exact sums.
+
+    The sums are Python ints of x * 2^53, carried across chunks of
+    ``chunk`` entries so that memory stays small at any limit.
+    """
+    q = 2**53
+    s_psi = s_psi1 = 0
+    bad = []
+    for start in range(0, t.limit + 1, chunk):
+        part = slice(start, start + chunk)
+        lam = np.log(np.maximum(t.mangoldt_base[part], 1).astype(np.float64))
+        rows = zip(
+            lam.tolist(),
+            t.psi_cum[part].tolist(),
+            t.psi1_hi[part].tolist(),
+            t.psi1_lo[part].tolist(),
+            strict=True,
+        )
+        for m, (x, psi, hi, lo) in enumerate(rows, start):
+            s_psi += int(x * q)
+            s_psi1 += int(psi * q)
+            if s_psi / q != psi or s_psi1 / q != hi or lo * q != s_psi1 - int(hi * q):
+                bad.append(m)
+    return bad
+
+
 # ----------------------------------------------------------------------
 # construction and classification
 # ----------------------------------------------------------------------
@@ -62,7 +104,7 @@ def _no_sieve(limit):
 def test_build_table_refuses_limit_past_exactness_cap(monkeypatch):
     # The sieve is stubbed out so that a guard placed after the allocation
     # fails here instead of asking for the several GB a 9e7 table takes.
-    monkeypatch.setattr(primes, "_smallest_prime_factor", _no_sieve)
+    monkeypatch.setattr(primes, "_mangoldt_base", _no_sieve)
     with pytest.raises(ValueError):
         primes.build_table(90_000_001)
 
@@ -84,6 +126,10 @@ def test_mangoldt_map_limit_ten():
 def test_mangoldt_matches_trial_division(table_million):
     for m in range(1, 20_001):
         assert primes.mangoldt(table_million, m) == _trial_division_base(m)
+
+
+def test_mangoldt_base_matches_bytearray_sieve(table_million):
+    assert table_million.mangoldt_base.tolist() == _bytearray_mangoldt_base(1_000_000)
 
 
 def test_mangoldt_validation(table_small):
@@ -197,6 +243,24 @@ def test_tables_equal_exact_integer_sums(table_million):
         if s / q != hi or lo * q != s - int(hi * q)
     ]
     assert not bad_psi1, bad_psi1[:5]
+
+
+B = primes._BLOCK
+
+
+@pytest.mark.parametrize("limit", [B - 1, B, B + 1, 2 * B + 1, 3 * B])
+def test_tables_exact_across_block_boundaries(limit):
+    t = primes.build_table(limit)
+    assert not _exact_sum_mismatches(t)
+    for k in range(1, limit // B + 1):
+        for m in (k * B - 1, k * B, k * B + 1):
+            if m <= limit:
+                assert primes.psi1_increment(t, m) == primes.psi(t, m), m
+
+
+@pytest.mark.slow
+def test_tables_equal_exact_integer_sums_ten_million():
+    assert not _exact_sum_mismatches(primes.build_table(10_000_000))
 
 
 def test_psi1_increment_validation(table_small):
