@@ -50,9 +50,14 @@ algebra back to actual integrals.
 Exact linear algebra
 --------------------
 Integer determinants use fraction-free Bareiss elimination (intermediate
-entries are minors, divisions are exact); rational matrices are cleared
-to integers row by row.  A naive Fraction Gaussian elimination is kept as
-an independent cross-check, not as a fast path.
+entries are minors, divisions are exact).  A matrix of ints and Fractions
+is cleared to integers row by row, each row once over the lcm of its
+denominators, and only the final ratio is a Fraction again.  Each
+distinct rational is built once: a Hankel matrix has 2n-1 distinct
+entries, a generalized matrix one per offset x_i + j, and a
+partial-fraction sum is one integer sum over a common denominator.  A
+naive Fraction Gaussian elimination is kept as an independent
+cross-check, not as a fast path.
 """
 
 from __future__ import annotations
@@ -191,17 +196,22 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix via row clearing + Bareiss."""
+def fraction_det(rows: list[list[Fraction | int]]) -> Fraction:
+    """Exact determinant of a matrix of ints and Fractions, in any mix.
+
+    Each row is cleared to integers over the lcm of its denominators and
+    the integer matrix goes to :func:`bareiss_det`.  Entries are read
+    through ``numerator`` and ``denominator``, which ints have too, so no
+    entry is converted.
+    """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("fraction_det requires a nonempty square matrix")
     cleared: list[list[int]] = []
     den = 1
     for row in rows:
-        fr = [Fraction(v) for v in row]
-        scale = math.lcm(*(f.denominator for f in fr))
-        cleared.append([f.numerator * (scale // f.denominator) for f in fr])
+        scale = math.lcm(*(v.denominator for v in row))
+        cleared.append([v.numerator * (scale // v.denominator) for v in row])
         den *= scale
     return Fraction(bareiss_det(cleared), den)
 
@@ -249,8 +259,16 @@ def hankel_entry(spec: HankelSpec, i: int, j: int) -> Fraction:
 
 
 def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
-    n = spec.n
-    return [[hankel_entry(spec, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    """The n x n moment matrix, built from its 2n-1 distinct entries.
+
+    Entry (i, j) depends on i+j only, so with the moments
+    m_k = (beta-1)! / (alpha+k)_beta, k < 2n-1, row i (0-based) is
+    m_i .. m_{i+n-1}.  :func:`hankel_entry` is the per-entry definition.
+    """
+    a, b, n = spec.alpha, spec.beta, spec.n
+    top = factorial(b - 1)
+    moments = [Fraction(top, pochhammer(a + k, b)) for k in range(2 * n - 1)]
+    return [moments[i : i + n] for i in range(n)]
 
 
 def hankel_det(spec: HankelSpec) -> Fraction:
@@ -284,11 +302,13 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
     """
     if alpha < 1 or beta < 1 or m < 2:
         raise ValueError(f"need alpha, beta >= 1 and m >= 2, got {(alpha, beta, m)}")
-    total = Fraction(0)
+    lo = alpha + m - 2
+    scale = math.lcm(*range(lo, lo + beta))
+    total = 0
     for k in range(beta):
-        term = Fraction(binomial(beta - 1, k), alpha + m + k - 2)
+        term = binomial(beta - 1, k) * (scale // (lo + k))
         total += -term if k & 1 else term
-    return total
+    return Fraction(total, scale)
 
 
 # ----------------------------------------------------------------------
@@ -407,20 +427,32 @@ def improved_product(spec: HankelSpec) -> Fraction:
 def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
     """Both sides of the non-consecutive-index determinant identity.
 
-    lhs = det( (beta-1)! / (x_i+j+1)_beta )_{i,j=1..n}
-    rhs = [ (beta-1)! (beta)! ... (beta+n-2)! /
-            prod_i (x_i+2)_{beta+n-1} ] * prod_{i<j} (x_j - x_i)
+    lhs = det( (beta-1)! / (x_i+j+1)_beta )_{i,j=1..n}, by elimination;
+    rhs = :func:`generalized_rhs`, the closed form.  Entry (i, j) depends
+    on x_i + j only, so each distinct offset is built once.
+    """
+    xs, b = spec.xs, spec.beta
+    n = len(xs)
+    top = factorial(b - 1)
+    entry = {
+        k: Fraction(top, pochhammer(k + 1, b))
+        for k in {x + j for x in xs for j in range(1, n + 1)}
+    }
+    matrix = [[entry[x + j] for j in range(1, n + 1)] for x in xs]
+    return fraction_det(matrix), generalized_rhs(spec)
+
+
+def generalized_rhs(spec: GeneralizedSpec) -> Fraction:
+    """Closed form of the generalized determinant, with no elimination:
+
+        [ (beta-1)! (beta)! ... (beta+n-2)! / prod_i (x_i+2)_{beta+n-1} ]
+            * prod_{i<j} (x_j - x_i).
 
     The Vandermonde factor follows the *input* order of the indices, so
     the sign flips under row exchange exactly as a determinant should.
     """
     xs, b = spec.xs, spec.beta
     n = len(xs)
-    matrix = [
-        [Fraction(factorial(b - 1), pochhammer(x + j + 1, b)) for j in range(1, n + 1)]
-        for x in xs
-    ]
-    lhs = fraction_det(matrix)
     num = 1
     den = 1
     for mth in range(n):
@@ -431,7 +463,7 @@ def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
     for i in range(n):
         for j in range(i + 1, n):
             vmd *= xs[j] - xs[i]
-    return lhs, Fraction(num * vmd, den)
+    return Fraction(num * vmd, den)
 
 
 def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
@@ -441,7 +473,7 @@ def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
     is a positive integer-bounded value >= 1.
     """
     xs = tuple(sorted(spec.xs))
-    _, rhs = generalized_sides(GeneralizedSpec(xs=xs, beta=spec.beta))
+    rhs = generalized_rhs(GeneralizedSpec(xs=xs, beta=spec.beta))
     scale = 1
     n = len(xs)
     for x in xs:

@@ -17,7 +17,9 @@ care goes, and the rules used throughout the package are:
 
 Factorial, log-factorial and log-superfactorial values are memoised in
 tables that grow on demand, so repeated sweeps over (alpha, beta, n) grids
-pay for each value once.
+pay for each value once.  The two float tables stop at
+``LOG_TABLE_CAP`` = 2**22 entries (about 335 MB for both): a larger
+argument raises ``ValueError`` before anything grows.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ LN2 = math.log(2.0)
 _FACT: list[int] = [1]
 _LNF: list[float] = [0.0]
 _LSF: list[float] = [0.0]
+
+# Largest argument of log_factorial and log_superfactorial: each table
+# entry costs ~40 B, so past this a call would take gigabytes.  It is
+# checked only where a table would grow, before it grows, so a lookup
+# costs no more than without the cap.
+LOG_TABLE_CAP = 1 << 22
 
 
 class CompensatedSum:
@@ -67,14 +75,6 @@ _LNF_ACC = CompensatedSum()
 _LSF_ACC = CompensatedSum()
 
 
-def comp_sum(terms) -> float:
-    """Neumaier-compensated sum of an iterable of floats."""
-    acc = CompensatedSum()
-    for t in terms:
-        acc.add(t)
-    return acc.value
-
-
 def two_sum(a: float, b: float) -> tuple[float, float]:
     """Knuth two-sum: returns (s, e) with s = fl(a+b) and s + e = a + b exactly."""
     s = a + b
@@ -101,9 +101,9 @@ def log_factorial(n: int) -> float:
     Relative error is a few 1e-16 for all n reachable in practice; the
     table shares state across calls so grid sweeps are O(1) amortised.
     """
-    if n < 0:
-        raise ValueError(f"log_factorial requires n >= 0, got {n}")
-    if n >= len(_LNF):
+    if n < 0 or n >= len(_LNF):
+        if not 0 <= n <= LOG_TABLE_CAP:
+            raise ValueError(f"log_factorial requires 0 <= n <= {LOG_TABLE_CAP}, got {n}")
         for k in range(len(_LNF), n + 1):
             _LNF_ACC.add(math.log(k))
             _LNF.append(_LNF_ACC.value)
@@ -117,9 +117,9 @@ def log_superfactorial(k: int) -> float:
     built from ln k, so a ratio of superfactorials such as
     prod_{j=lo}^{hi-1} j! is a difference of two lookups.
     """
-    if k < 0:
-        raise ValueError(f"log_superfactorial requires k >= 0, got {k}")
-    if k >= len(_LSF):
+    if k < 0 or k >= len(_LSF):
+        if not 0 <= k <= LOG_TABLE_CAP:
+            raise ValueError(f"log_superfactorial requires 0 <= k <= {LOG_TABLE_CAP}, got {k}")
         log_factorial(k - 1)
         for j in range(len(_LSF) - 1, k):
             _LSF_ACC.add(_LNF[j])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from primebound import cli, report
+from primebound import cli, exact, report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -246,6 +246,25 @@ def test_s_outside_unit_interval_exits_two(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error: --s must be in (0, 1]")
+
+
+def test_asymptotic_gap_past_log_table_cap_exits_two(capsys, monkeypatch):
+    # Refused before the log tables grow: a grown table fails the test at
+    # once instead of taking gigabytes.
+    class NoGrowth:
+        def add(self, x):
+            raise AssertionError("log table grew past its cap")
+
+    monkeypatch.setattr(exact, "_LNF_ACC", NoGrowth())
+    monkeypatch.setattr(exact, "_LSF_ACC", NoGrowth())
+    lsf = len(exact._LSF)
+    code, out, err = run_cli(
+        capsys, ["table", "--kind", "asymptotic-gap", "--n", "10000000"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: log_superfactorial requires")
+    assert len(exact._LSF) == lsf
 
 
 @pytest.mark.parametrize(

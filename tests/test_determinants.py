@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primebound import determinants as det
 from primebound.exact import factorial, pochhammer
@@ -97,6 +99,72 @@ def test_fraction_det_routes_agree_on_moment_matrices():
                 )
 
 
+# Property tests: seeds pinned, so every run draws the same examples.
+_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def _square(draw, entries, max_n=6):
+    n = draw(st.integers(1, max_n))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Random integer matrices, about a third made singular on purpose."""
+    rows = draw(_square(st.integers(-30, 30)))
+    n = len(rows)
+    kind = draw(st.sampled_from(["free", "repeat", "combine"])) if n > 1 else "free"
+    if kind != "free":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if kind == "repeat":
+            rows[i] = rows[j][:]
+        else:
+            k = draw(st.integers(0, n - 1).filter(lambda k: k != i))
+            c, d = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows[i] = [c * u + d * v for u, v in zip(rows[j], rows[k])]
+    return kind, rows
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@_PROPERTY
+@given(_int_matrices(), st.data())
+def test_bareiss_matches_naive_elimination(case, data):
+    kind, rows = case
+    got = det.bareiss_det([r[:] for r in rows])
+    assert got == det.fraction_det_naive(rows)
+    if kind != "free":
+        assert got == 0
+    n = len(rows)
+    if n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i], rows[j] = rows[j], rows[i]
+        assert det.bareiss_det(rows) == -got
+
+
+@_PROPERTY
+@given(
+    st.sampled_from(["fraction", "int", "mixed"]).flatmap(
+        lambda kind: _square(
+            {
+                "fraction": _FRACTIONS,
+                "int": st.integers(-40, 40),
+                "mixed": st.one_of(st.integers(-40, 40), _FRACTIONS),
+            }[kind]
+        )
+    )
+)
+def test_fraction_det_matches_naive_elimination(rows):
+    # Entries are read through numerator/denominator, never re-wrapped;
+    # all-int and mixed rows check that ints take the same path.
+    got = det.fraction_det(rows)
+    assert type(got) is Fraction
+    assert got == det.fraction_det_naive(rows)
+
+
 # ----------------------------------------------------------------------
 # Hankel moment determinant and closed form
 # ----------------------------------------------------------------------
@@ -121,6 +189,18 @@ def test_hankel_entry_is_beta_integral():
                         factorial(p - 1) * factorial(beta - 1), factorial(p + beta - 1)
                     )
                     assert det.hankel_entry(spec, i, j) == want
+
+
+def test_hankel_matrix_equals_entrywise_definition():
+    for n in range(1, 9):
+        for alpha in range(1, 7):
+            for beta in range(1, 7):
+                spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
+                want = [
+                    [det.hankel_entry(spec, i, j) for j in range(1, n + 1)]
+                    for i in range(1, n + 1)
+                ]
+                assert det.hankel_matrix(spec) == want
 
 
 def test_hankel_det_fixtures():
@@ -164,6 +244,16 @@ def test_partial_fraction_expands_entry_grid():
     for alpha in range(1, 13):
         for beta in range(1, 13):
             for m in range(2, 25):
+                want = Fraction(factorial(beta - 1), pochhammer(alpha + m - 2, beta))
+                assert det.partial_fraction_sum(alpha, beta, m) == want
+
+
+def test_partial_fraction_expands_entry_to_beta_forty():
+    # Wider in beta than any suite grid: the common denominator
+    # lcm(lo .. lo+beta-1) then holds many prime powers.
+    for alpha in range(1, 7):
+        for beta in range(1, 41):
+            for m in range(2, 13):
                 want = Fraction(factorial(beta - 1), pochhammer(alpha + m - 2, beta))
                 assert det.partial_fraction_sum(alpha, beta, m) == want
 
@@ -328,6 +418,27 @@ def test_generalized_inequality():
     for _ in range(40):
         spec = det.random_generalized(rng)
         assert det.generalized_inequality(spec) >= 1
+
+
+def _generalized_inequality_oracle(spec):
+    """Sorted-index determinant by naive elimination, times prod_i d_{x_i+beta+n}."""
+    xs, b = sorted(spec.xs), spec.beta
+    n = len(xs)
+    rows = [
+        [Fraction(factorial(b - 1), pochhammer(x + j + 1, b)) for j in range(1, n + 1)]
+        for x in xs
+    ]
+    scale = math.prod(math.lcm(*range(1, x + b + n + 1)) for x in xs)
+    return scale * det.fraction_det_naive(rows)
+
+
+def test_generalized_rhs_is_closed_form_side():
+    rng = random.Random(6)
+    for _ in range(60):
+        spec = det.random_generalized(rng)
+        lhs, rhs = det.generalized_sides(spec)
+        assert det.generalized_rhs(spec) == rhs == lhs
+        assert det.generalized_inequality(spec) == _generalized_inequality_oracle(spec)
 
 
 def test_consecutive_indices_collapse_to_hankel():

@@ -164,6 +164,26 @@ def test_log_superfactorial_rejects_negative():
         exact.log_superfactorial(-1)
 
 
+class _NoGrowth:
+    """Stands in for a table accumulator: any attempt to grow a table fails."""
+
+    def add(self, x):
+        raise AssertionError("a log table grew for an argument past the cap")
+
+
+def test_log_tables_refuse_past_cap_before_growing(monkeypatch):
+    cap = exact.LOG_TABLE_CAP
+    monkeypatch.setattr(exact, "_LNF_ACC", _NoGrowth())
+    monkeypatch.setattr(exact, "_LSF_ACC", _NoGrowth())
+    lnf, lsf = len(exact._LNF), len(exact._LSF)
+    for k in (cap + 1, 10**7, 10**12):
+        with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
+            exact.log_factorial(k)
+        with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
+            exact.log_superfactorial(k)
+    assert len(exact._LNF) == lnf and len(exact._LSF) == lsf
+
+
 def test_log_int_small_and_huge():
     assert exact.log_int(1) == 0.0
     assert exact.log_int(7) == math.log(7)
@@ -197,17 +217,24 @@ def test_two_sum_splits_exactly():
         assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
+def _compensated(terms):
+    acc = exact.CompensatedSum()
+    for t in terms:
+        acc.add(t)
+    return acc.value
+
+
 def test_compensated_sum_survives_cancellation():
     # A naive left-to-right sum returns 0.0 on both of these.
-    assert exact.comp_sum([1e16, 1.0, -1e16]) == 1.0
+    assert _compensated([1e16, 1.0, -1e16]) == 1.0
     # The |new term| > |running sum| branch (where plain Kahan loses).
-    assert exact.comp_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert _compensated([1.0, 1e100, 1.0, -1e100]) == 2.0
 
 
 def test_compensated_sum_tracks_fsum():
     rng = random.Random(123)
     data = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(4000)]
-    got = exact.comp_sum(data)
+    got = _compensated(data)
     want = math.fsum(data)
     scale = sum(abs(x) for x in data)
     # Compensated error is O(eps * sum|x|); a naive sum would sit near
