@@ -10,7 +10,7 @@ Modules
 exact
     Factorials, Pochhammer symbols, binomials, compensated float sums.
 primes
-    Smallest-prime-factor sieve, von Mangoldt classification, exact
+    Sieve of Eratosthenes, von Mangoldt classification, exact
     Chebyshev psi / psi_1 tables, lcm(1..m) with two algorithms.
 determinants
     Hankel beta-moment determinants, a two-sided determinant lemma and

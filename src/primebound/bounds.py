@@ -27,12 +27,14 @@ windows scaled by rho = (2s+1)/(2s+2) — so that each window's top end is
 the previous window's bottom end, n_{k+1} = rho n_k, x = 2(s+1) n_0 —
 telescopes to psi_1(x) >= c(s) x^2 + o(x^2) with the geometric series
 
-    c(s) = sum_k g(s) rho^{2k} / (4 (s+1)^2)  =  g(s) / (4 (s+1)^2 (1 - rho^2)).
+    c(s) = sum_k g(s) rho^{2k} / (4 (s+1)^2)  =  g(s) / (4s+3),
 
-Maximising c over s in (0, 1) lands at s* ~ 0.3919116 and c* ~ 0.49518,
-within a hair of the best constant this route can produce (c < 1/2, the
-true coefficient of psi_1).  :func:`optimize_s` reproduces the constants
-deterministically with a grid scan plus golden-section refinement.
+since 4 (s+1)^2 (1 - rho^2) = 4s+3.  c' has the sign of h = 4f - (4s+3) f',
+and h' = -(4s+3) f'' < 0 since f''(s) = 2 ln(1 + 1/(4s(s+1))) > 0: h falls
+from h(0+) = 4 ln 2 to h(1) ~ -1.41, so c has one maximum on (0, 1), at
+s* ~ 0.39191162 with c* ~ 0.49518, within a hair of the best constant this
+route can produce (c < 1/2, the true coefficient of psi_1).
+:func:`optimize_s` finds s* by bisection on the sign of h.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ from .exact import CompensatedSum, factorial, log_superfactorial
 from .primes import PrimeTable, psi1
 
 _EXACT_N_CAP = 200
-_GRID_POINTS = 64
-_MAX_REFINE_STEPS = 200
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,12 @@ def f_coeff(s: float) -> float:
     )
 
 
+def f_prime(s: float) -> float:
+    """f'(s) = 2 (t ln t - s ln s - u ln u - 2u ln 2), t = 2s+1, u = s+1 (t - s - u = 0)."""
+    t, u = 2.0 * s + 1.0, s + 1.0
+    return 2.0 * (t * math.log(t) - s * math.log(s) - u * math.log(u) - 2.0 * u * math.log(2.0))
+
+
 @dataclass(frozen=True)
 class AsymptoticCoeff:
     """The pieces of the chained bound at one s: f, g = -f, rho, and c."""
@@ -139,13 +144,10 @@ class AsymptoticCoeff:
 
 
 def chain_constant(s: float) -> AsymptoticCoeff:
-    """c(s) = g(s) / (4 (s+1)^2 (1 - rho^2)) with rho = (2s+1)/(2s+2)."""
+    """c(s) = g(s) / (4s+3), the chained series summed, and rho = (2s+1)/(2s+2)."""
     f = f_coeff(s)
-    g = -f
-    u = s + 1.0
-    rho = (2.0 * s + 1.0) / (2.0 * u)
-    c = g / (4.0 * u * u * (1.0 - rho * rho))
-    return AsymptoticCoeff(s=s, f=f, g=g, rho=rho, c=c)
+    rho = (2.0 * s + 1.0) / (2.0 * s + 2.0)
+    return AsymptoticCoeff(s=s, f=f, g=-f, rho=rho, c=-f / (4.0 * s + 3.0))
 
 
 def chain_partial_sum(s: float, k_max: int) -> float:
@@ -177,11 +179,12 @@ class OptimizationResult:
 
 
 def optimize_s(lo: float, hi: float, tol: float) -> OptimizationResult:
-    """Maximise c(s) on [lo, hi] within (0, 1] by grid scan + golden-section refinement.
+    """Maximise c(s) on [lo, hi] within (0, 1] by bisection on the sign of c'(s).
 
-    Deterministic: a fixed 64-point scan brackets the peak, then
-    golden-section narrows the bracket below ``tol`` (c is unimodal on
-    (0, 1), so the combination is reliable); iteration count is capped.
+    c' has the sign of h = 4f - (4s+3) f', which is strictly decreasing, so
+    the maximum is at hi if h(hi) >= 0, at lo if h(lo) <= 0 (width 0), and
+    otherwise in a bracket with h(a) > 0 >= h(b), halved until b - a <= tol
+    or until its ends are adjacent floats.  ``evaluations`` counts h calls.
     """
     if not 0.0 < lo <= hi <= 1.0:
         raise ValueError(f"need finite 0 < lo <= hi <= 1, got lo={lo}, hi={hi}")
@@ -189,37 +192,26 @@ def optimize_s(lo: float, hi: float, tol: float) -> OptimizationResult:
         raise ValueError(f"need finite tol > 0, got {tol}")
     evals = 0
 
-    def cval(s: float) -> float:
+    def h(s: float) -> float:
         nonlocal evals
         evals += 1
-        return chain_constant(s).c
+        return 4.0 * f_coeff(s) - (4.0 * s + 3.0) * f_prime(s)
 
-    if lo == hi:
-        return OptimizationResult(lo, cval(lo), evals, 0.0)
-
-    grid = [lo + (hi - lo) * i / (_GRID_POINTS - 1) for i in range(_GRID_POINTS)]
-    vals = [cval(s) for s in grid]
-    best = max(range(_GRID_POINTS), key=vals.__getitem__)
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, _GRID_POINTS - 1)]
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = cval(x1)
-    f2 = cval(x2)
-    for _ in range(_MAX_REFINE_STEPS):
-        if b - a <= tol:
+    a, b = lo, hi
+    if h(b) >= 0.0:
+        a = b
+    elif h(a) <= 0.0:
+        b = a
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = cval(x2)
+        if h(m) > 0.0:
+            a = m
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = cval(x1)
+            b = m
     s_star = 0.5 * (a + b)
-    return OptimizationResult(s_star, chain_constant(s_star).c, evals + 1, b - a)
+    return OptimizationResult(s_star, chain_constant(s_star).c, evals, b - a)
 
 
 def asymptotic_gap(params: BoundParams) -> float:

@@ -2,13 +2,15 @@
 increment inequality, and the empirical table.
 
 Exact small-n values anchor the log-space evaluators; the optimizer is
-checked against closed forms at s = 1/2 and against a brute grid; the
+checked against closed forms at s = 1/2, against a brute grid, and against
+mpmath (derivatives, the root of c', interval signs at the bracket); the
 inequality sweeps run over a sieve table large enough for every window.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from primebound import bounds, suites
@@ -16,6 +18,10 @@ from primebound import determinants as det
 from primebound.exact import log_int
 
 S_TARGET = 0.39191162
+# The root of c'(s) and c there, by mpmath.findroot at 40 digits (and
+# recomputed by test_optimize_brackets_mpmath_root).
+S_ROOT = 0.39191162052177632
+C_ROOT = 0.49517959108853238
 
 # Pinned by an independent pre-build evaluation of |log_delta/n^2 - f|
 # at s = S_TARGET; the 1e-9 slack covers route noise only.
@@ -248,6 +254,85 @@ def test_optimize_refuses_hi_above_one(hi):
 def test_optimize_accepts_hi_one():
     res = bounds.optimize_s(0.01, 1.0, 1e-9)
     assert abs(res.s_star - S_TARGET) <= 1e-6
+
+
+def _f_ctx(ctx, s):
+    t, u = 2 * s + 1, s + 1
+    return t * t / 2 * ctx.log(t) - s * s * ctx.log(s) - u * u * ctx.log(u) - 2 * u * u * ctx.log(2)
+
+
+def _f_prime_ctx(ctx, s):
+    t, u = 2 * s + 1, s + 1
+    return 2 * (t * ctx.log(t) - s * ctx.log(s) - u * ctx.log(u) - 2 * u * ctx.log(2))
+
+
+def _h_ctx(ctx, s):
+    """4 f - (4s+3) f', which has the sign of c'(s)."""
+    return 4 * _f_ctx(ctx, s) - (4 * s + 3) * _f_prime_ctx(ctx, s)
+
+
+@pytest.mark.parametrize("s", ["0.01", "0.39", "1"])
+def test_f_derivative_closed_forms_match_mpmath_diff(s):
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        d1 = mpmath.diff(lambda x: _f_ctx(mp, x), s)
+        d2 = mpmath.diff(lambda x: _f_ctx(mp, x), s, 2)
+        assert abs(_f_prime_ctx(mp, s) - d1) <= mpmath.mpf("1e-35") * abs(d1)
+        assert abs(2 * mpmath.log(1 + 1 / (4 * s * (s + 1))) - d2) <= mpmath.mpf("1e-35") * d2
+        assert math.isclose(bounds.f_prime(float(s)), float(d1), rel_tol=1e-14)
+
+
+def test_optimize_brackets_mpmath_root():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: _h_ctx(mpmath.mp, x), S_TARGET)
+        c_root = -_f_ctx(mpmath.mp, root) / (4 * root + 3)
+    assert abs(float(root) - S_ROOT) <= 1e-16
+    assert abs(float(c_root) - C_ROOT) <= 1e-16
+    res = bounds.optimize_s(0.01, 0.99, 1e-9)
+    assert 0.0 < res.bracket_width <= 1e-9
+    assert res.s_star - res.bracket_width < root < res.s_star + res.bracket_width
+    assert math.isclose(res.c_star, C_ROOT, rel_tol=1e-15)
+
+
+def test_optimize_bracket_signs_certified_by_intervals():
+    res = bounds.optimize_s(0.01, 0.99, 1e-9)
+    iv, prec = mpmath.iv, mpmath.iv.prec
+    iv.prec = 120
+    try:
+        left = _h_ctx(iv, iv.mpf(res.s_star - res.bracket_width))
+        right = _h_ctx(iv, iv.mpf(res.s_star + res.bracket_width))
+    finally:
+        iv.prec = prec
+    assert left.a > 0 and right.b < 0
+
+
+def test_optimize_maximum_at_an_end():
+    at_lo = bounds.optimize_s(0.5, 0.9, 1e-9)
+    at_hi = bounds.optimize_s(0.01, 0.2, 1e-9)
+    assert (at_lo.s_star, at_lo.bracket_width) == (0.5, 0.0)
+    assert (at_hi.s_star, at_hi.bracket_width) == (0.2, 0.0)
+
+
+def test_optimize_stops_at_adjacent_floats(monkeypatch):
+    # No float bracket is narrower than the spacing of floats near s*, so
+    # a tol below it must end the search there instead of looping forever.
+    calls = 0
+    f_prime = bounds.f_prime
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        assert calls <= 200, "bisection kept evaluating after its ends met"
+        return f_prime(s)
+
+    monkeypatch.setattr(bounds, "f_prime", counted)
+    res = bounds.optimize_s(0.01, 0.99, 5e-324)
+    assert res.evaluations == calls
+    assert 5e-324 < res.bracket_width <= 2.0**-53
+    # At this width the sign of h in floats is rounding noise (|h'| ~ 3.5,
+    # |h| rounded to ~2e-15), so only closeness to the root is claimed.
+    assert abs(res.s_star - S_ROOT) <= 1e-15
 
 
 def test_coarse_grid_maximum_location():

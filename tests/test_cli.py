@@ -72,7 +72,7 @@ def test_optimize_default_bracket(capsys):
     # At least 8 printed decimals survive the text renderer too.
     code, out, _ = run_cli(capsys, ["optimize"])
     assert code == 0
-    assert "0.39191161" in out
+    assert "0.39191162" in out
 
 
 def test_optimize_degenerate_bracket(capsys):
@@ -346,6 +346,15 @@ def test_failed_table_exits_one(capsys, monkeypatch):
          "--format", "csv"],
     )
     assert code == 1
+
+
+def test_optimize_tol_below_float_spacing_exits_one(capsys):
+    code, out, _ = run_cli(capsys, ["optimize", "--tol", "1e-300", "--format", "json"])
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "fail"
+    assert 1e-300 < check["witness"]["bracket_width"] <= 2.0**-53
+    assert check["witness"]["cases"] <= 64
 
 
 # ----------------------------------------------------------------------
