@@ -43,7 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CompensatedSum, factorial, log_superfactorial
+from .determinants import HankelSpec, closed_form_det
+from .exact import CompensatedSum, log_superfactorial
 from .primes import PrimeTable, psi1
 
 _EXACT_N_CAP = 200
@@ -73,25 +74,19 @@ class BoundParams:
 
 
 def delta_exact(params: BoundParams) -> Fraction:
-    """Delta_n(s) as an exact rational.
+    """Delta_n(s) as an exact rational: det H at alpha = beta = a, by construction.
 
-    Factorials grow fast; n is capped so a single call cannot consume
-    unbounded memory (the cap is far above anything the asymptotic tests
-    need — use :func:`log_delta` beyond it).
+    It is :func:`~primebound.determinants.closed_form_det` of
+    ``HankelSpec(a, a, n)``.  Factorials grow fast; n is capped so a single
+    call cannot consume unbounded memory (the cap is far above anything the
+    asymptotic tests need — use :func:`log_delta` beyond it).
     """
     if params.n > _EXACT_N_CAP:
         raise ValueError(
             f"delta_exact supports n <= {_EXACT_N_CAP}, got {params.n}; "
             "use log_delta for large n"
         )
-    a, n = params.a, params.n
-    num = 1
-    den = 1
-    for j in range(n):
-        fa = factorial(a + j - 1)
-        num *= fa * fa * factorial(j)
-        den *= factorial(2 * a + n + j - 2)
-    return Fraction(num, den)
+    return closed_form_det(HankelSpec(params.a, params.a, params.n))
 
 
 def log_delta(params: BoundParams) -> float:

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import bounds, primes, report, suites
-from .exact import log_int
+from .exact import LOG_TABLE_CAP, log_int
 
 _FORMATS = ("text", "json", "csv")
 
@@ -190,7 +190,14 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
         raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
     if math.floor(args.s * args.n_min) < 1:
         raise argparse.ArgumentTypeError("--n-min too small: floor(s*n) must be >= 1")
-    top = 2 * int(math.floor(args.s * args.n_max)) + 2 * args.n_max
+    a_max = int(math.floor(args.s * args.n_max))
+    # log_delta reads the log tables up to 2a+2n-2; refuse before the sieve, not after it.
+    if 2 * a_max + 2 * args.n_max - 2 > LOG_TABLE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"--n-max {args.n_max} at --s {args.s} needs log tables past "
+            f"their cap of {LOG_TABLE_CAP} entries"
+        )
+    top = 2 * a_max + 2 * args.n_max
     limit = args.limit if args.limit is not None else top
     if limit < top:
         raise argparse.ArgumentTypeError("--limit is below the largest window top")

@@ -62,6 +62,7 @@ cross-check, not as a fast path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CompensatedSum, binomial, factorial, pochhammer
+from .exact import CompensatedSum, binomial, factorial, factorial_ratio, pochhammer
 from .primes import lcm_upto
 
 # ----------------------------------------------------------------------
@@ -285,12 +286,10 @@ def hankel_det(spec: HankelSpec) -> Fraction:
 def closed_form_det(spec: HankelSpec) -> Fraction:
     """The factorial product form of the same determinant."""
     a, b, n = spec.alpha, spec.beta, spec.n
-    num = 1
-    den = 1
-    for j in range(n):
-        num *= factorial(a + j - 1) * factorial(b + j - 1) * factorial(j)
-        den *= factorial(a + b + n + j - 2)
-    return Fraction(num, den)
+    return factorial_ratio(
+        [*range(a - 1, a + n - 1), *range(b - 1, b + n - 1), *range(n)],
+        range(a + b + n - 2, a + b + 2 * n - 2),
+    )
 
 
 def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
@@ -371,12 +370,13 @@ def specialization_scale(spec: HankelSpec) -> Fraction:
     """det(specialised lemma matrix) / det(Hankel matrix), as an exact ratio.
 
     Row i of the Hankel matrix times (alpha+i-1)_{beta+n-1} / (beta-1)!
-    is row i of the specialised polynomial matrix, hence the factor.
+    is row i of the specialised polynomial matrix, hence the factor; with
+    (x)_k = (x+k-1)! / (x-1)! it is one factorial ratio.
     """
-    num = 1
-    for i in range(1, spec.n + 1):
-        num *= pochhammer(spec.alpha + i - 1, spec.beta + spec.n - 1)
-    return Fraction(num, factorial(spec.beta - 1) ** spec.n)
+    a, b, n = spec.alpha, spec.beta, spec.n
+    return factorial_ratio(
+        range(a + b + n - 2, a + b + 2 * n - 2), [*range(a - 1, a + n - 1), *[b - 1] * n]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -412,16 +412,13 @@ def improved_product(spec: HankelSpec) -> Fraction:
     """prod_i d_{alpha+beta+n+i-3} (n-i)! (beta+i-2)! / (alpha+i-1)_{beta+n-1}.
 
     Always >= 1; equals 1 exactly at the degenerate corners (e.g. alpha =
-    beta = 1 with n <= 2).  The non-lcm factor is det H itself, so this
-    is the determinant-level integrality statement.
+    beta = 1 with n <= 2).  Reindexed, the non-lcm factor is det H, and it
+    is computed as :func:`closed_form_det`: this is det H times lcms by
+    construction, the determinant-level integrality statement.
     """
     a, b, n = spec.alpha, spec.beta, spec.n
-    num = 1
-    den = 1
-    for i in range(1, n + 1):
-        num *= lcm_upto(a + b + n + i - 3) * factorial(n - i) * factorial(b + i - 2)
-        den *= pochhammer(a + i - 1, b + n - 1)
-    return Fraction(num, den)
+    lcms = math.prod(lcm_upto(a + b + n + i - 3) for i in range(1, n + 1))
+    return closed_form_det(spec) * lcms
 
 
 def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
@@ -453,17 +450,10 @@ def generalized_rhs(spec: GeneralizedSpec) -> Fraction:
     """
     xs, b = spec.xs, spec.beta
     n = len(xs)
-    num = 1
-    den = 1
-    for mth in range(n):
-        num *= factorial(b - 1 + mth)
-    for x in xs:
-        den *= pochhammer(x + 2, b + n - 1)
-    vmd = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            vmd *= xs[j] - xs[i]
-    return Fraction(num * vmd, den)
+    ratio = factorial_ratio(
+        [*range(b - 1, b + n - 1), *(x + 1 for x in xs)], [x + b + n for x in xs]
+    )
+    return ratio * math.prod(xj - xi for xi, xj in itertools.combinations(xs, 2))
 
 
 def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
@@ -513,16 +503,11 @@ def selberg_rhs_exact(spec: SelbergSpec) -> Fraction:
             "use selberg_rhs for real parameters"
         )
     a, b, g, n = int(spec.alpha), int(spec.beta), spec.gamma, spec.n
-    num = 1
-    den = 1
-    for j in range(n):
-        num *= (
-            factorial(a + j * g - 1)
-            * factorial(b + j * g - 1)
-            * factorial((j + 1) * g)
-        )
-        den *= factorial(a + b + (n + j - 1) * g - 1) * factorial(g)
-    return Fraction(num, den)
+    top = a + b + (n - 1) * g - 1
+    return factorial_ratio(
+        [*range(a - 1, a + n * g - 1, g), *range(b - 1, b + n * g - 1, g), *range(g, g + n * g, g)],
+        [*range(top, top + n * g, g), *[g] * n],
+    )
 
 
 def selberg_rhs(spec: SelbergSpec) -> float:

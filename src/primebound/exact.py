@@ -3,7 +3,9 @@
 Everything downstream (Hankel determinants, lcm inequalities, asymptotic
 coefficients) reduces to factorials, Pochhammer symbols and logarithms of
 very large integers.  The integer side is exact by construction: Python
-ints and ``fractions.Fraction`` never round.  The float side is where the
+ints and ``fractions.Fraction`` never round, and every exact closed form
+(det H, Delta_n, the Selberg product, the lemma's row scaling) is one
+:func:`factorial_ratio`.  The float side is where the
 care goes, and the rules used throughout the package are:
 
 * ``math.lgamma`` / ``math.log`` give relative error of a few ulp, far
@@ -25,6 +27,8 @@ argument raises ``ValueError`` before anything grows.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
+from fractions import Fraction
 
 LN2 = math.log(2.0)
 
@@ -75,14 +79,6 @@ _LNF_ACC = CompensatedSum()
 _LSF_ACC = CompensatedSum()
 
 
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Knuth two-sum: returns (s, e) with s = fl(a+b) and s + e = a + b exactly."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
 def factorial(n: int) -> int:
     """n! as an exact integer (memoised)."""
     if n < 0:
@@ -125,6 +121,18 @@ def log_superfactorial(k: int) -> float:
             _LSF_ACC.add(_LNF[j])
             _LSF.append(_LSF_ACC.value)
     return _LSF[k]
+
+
+def factorial_ratio(top: Iterable[int], bottom: Iterable[int]) -> Fraction:
+    """prod of k! over ``top`` divided by prod of k! over ``bottom``, reduced.
+
+    Every exact closed form in the package is one such ratio; a rising
+    factorial enters as (x)_k = (x+k-1)! / (x-1)!.  A negative k raises
+    ``ValueError`` (from ``math.factorial``).
+    """
+    return Fraction(
+        math.prod(map(math.factorial, top)), math.prod(map(math.factorial, bottom))
+    )
 
 
 def pochhammer(x: int, k: int) -> int:

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import two_sum
-
 _LCM_CACHE_MAX = 2048
 
 # _LCM[m] == lcm(1, ..., m); index 0 is a padding entry.
@@ -203,7 +201,11 @@ def psi1_increment(table: PrimeTable, m: int) -> float:
     idx = _check_range(table, int(m), 1)
     hi = table.psi1_hi
     lo = table.psi1_lo
-    s, e = two_sum(float(hi[idx]), -float(hi[idx - 1]))
+    a, b = float(hi[idx]), -float(hi[idx - 1])
+    # Knuth two-sum: s + e == a + b exactly.
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
     e += float(lo[idx]) - float(lo[idx - 1])
     return s + e
 

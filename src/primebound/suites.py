@@ -9,7 +9,6 @@ to reproduce any failure.  Suites never raise on a mathematical failure
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -232,20 +231,3 @@ def run_suite(
             + suite_selberg(max_n, max_ab)
         )
     raise ValueError(f"unknown suite {name!r}")
-
-
-def delta_consistency(s_values: list[float], max_n: int) -> Check:
-    """Delta_n(s) agrees with the generic closed-form determinant machinery."""
-    from . import bounds
-
-    failures, cases = [], 0
-    for s in s_values:
-        for n in range(1, max_n + 1):
-            if math.floor(s * n) < 1:
-                continue
-            p = bounds.BoundParams(s=s, n=n)
-            spec = det.HankelSpec(alpha=p.a, beta=p.a, n=n)
-            cases += 1
-            if bounds.delta_exact(p) != det.closed_form_det(spec):
-                failures.append({"s": s, "n": n})
-    return _check("delta_matches_hankel_closed_form", failures, cases)

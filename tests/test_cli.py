@@ -268,6 +268,36 @@ def test_asymptotic_gap_past_log_table_cap_exits_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "s, n_max, refused",
+    [
+        ("1", "1100000", True),
+        # s = 1/2: the largest G argument 3 n_max - 2 meets the cap at 1398102.
+        ("0.5", "1398103", True),
+        ("0.5", "1398102", False),
+    ],
+)
+def test_increments_past_log_table_cap_exits_two(capsys, monkeypatch, s, n_max, refused):
+    # Refused before the prime table is built or a log table grows.
+    class NoGrowth:
+        def add(self, x):
+            raise AssertionError("log table grew past its cap")
+
+    def no_table(limit):
+        raise ValueError("stub: build_table reached")
+
+    monkeypatch.setattr(cli.primes, "build_table", no_table)
+    monkeypatch.setattr(exact, "_LNF_ACC", NoGrowth())
+    monkeypatch.setattr(exact, "_LSF_ACC", NoGrowth())
+    code, out, err = run_cli(
+        capsys,
+        ["table", "--kind", "increments", "--s", s, "--n-min", "2", "--n-max", n_max],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n-max" if refused else "error: stub: build_table reached")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["optimize", "--tol", "nan"],

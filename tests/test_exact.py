@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primebound import exact
 
@@ -78,6 +80,48 @@ def test_pochhammer_validation():
         exact.pochhammer(0, 3)
     with pytest.raises(ValueError):
         exact.pochhammer(2, -1)
+
+
+# ----------------------------------------------------------------------
+# factorial_ratio
+# ----------------------------------------------------------------------
+
+
+def test_factorial_ratio_fixtures():
+    assert exact.factorial_ratio([5], [3]) == 20
+    assert exact.factorial_ratio([], [4]) == Fraction(1, 24)
+    assert exact.factorial_ratio([], []) == 1
+    assert isinstance(exact.factorial_ratio([], []), Fraction)
+
+
+def test_factorial_ratio_is_pochhammer():
+    # (x)_k = (x+k-1)! / (x-1)!, the form every rising factorial takes.
+    for x in range(1, 30):
+        for k in range(0, 30):
+            assert exact.factorial_ratio([x + k - 1], [x - 1]) == exact.pochhammer(x, k)
+
+
+def test_factorial_ratio_rejects_negative():
+    with pytest.raises(ValueError):
+        exact.factorial_ratio([-1], [])
+    with pytest.raises(ValueError):
+        exact.factorial_ratio([3], [2, -2])
+
+
+_FACTORIAL_ARGS = st.lists(st.integers(0, 60), max_size=6)
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(_FACTORIAL_ARGS, _FACTORIAL_ARGS, st.integers(0, 60))
+def test_factorial_ratio_cancels_common_factor(top, bottom, k):
+    assert exact.factorial_ratio([*top, k], [k, *bottom]) == exact.factorial_ratio(top, bottom)
+
+
+@_PROPERTY
+@given(_FACTORIAL_ARGS, _FACTORIAL_ARGS)
+def test_factorial_ratio_times_inverse_is_one(top, bottom):
+    assert exact.factorial_ratio(top, bottom) * exact.factorial_ratio(bottom, top) == 1
 
 
 # ----------------------------------------------------------------------
@@ -202,19 +246,8 @@ def test_log_int_validation():
 
 
 # ----------------------------------------------------------------------
-# two_sum / compensated summation
+# compensated summation
 # ----------------------------------------------------------------------
-
-
-def test_two_sum_splits_exactly():
-    s, e = exact.two_sum(1.0, 2.0**-60)
-    assert s == 1.0 and e == 2.0**-60
-    rng = random.Random(7)
-    for _ in range(500):
-        a = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40)
-        b = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40)
-        s, e = exact.two_sum(a, b)
-        assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
 def _compensated(terms):
