@@ -8,7 +8,8 @@ asymptotic lower bound psi_1(x) >= c * x^2 with c ~ 0.49517.
 Modules
 -------
 exact
-    Factorials, Pochhammer symbols, binomials, compensated float sums.
+    Factorial ratios, Pochhammer symbols, binomials, the exact limb prefix
+    sum, correctly rounded log-factorial tables.
 primes
     Sieve of Eratosthenes, von Mangoldt classification, exact
     Chebyshev psi / psi_1 tables, lcm(1..m) with two algorithms.

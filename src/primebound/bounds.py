@@ -42,9 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .determinants import HankelSpec, closed_form_det
-from .exact import CompensatedSum, log_superfactorial
+from .exact import log_superfactorial
 from .primes import PrimeTable, psi1
 
 _EXACT_N_CAP = 200
@@ -154,13 +156,8 @@ def chain_partial_sum(s: float, k_max: int) -> float:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     co = chain_constant(s)
-    acc = CompensatedSum()
-    r2 = co.rho * co.rho
-    term = co.g / (4.0 * (s + 1.0) ** 2)
-    for _ in range(k_max + 1):
-        acc.add(term)
-        term *= r2
-    return acc.value
+    first = co.g / (4.0 * (s + 1.0) ** 2)
+    return math.fsum(accumulate(repeat(co.rho * co.rho, k_max), mul, initial=first))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,20 @@ care goes, and the rules used throughout the package are:
 
 * ``math.lgamma`` / ``math.log`` give relative error of a few ulp, far
   below the 1e-12 per-operation budget assumed by callers;
-* any sum with an unbounded or large number of terms goes through
-  Neumaier-compensated accumulation (:class:`CompensatedSum`), so the
-  accumulated error stays O(n * eps^2) + eps instead of O(n * eps);
+* every long running sum (psi and psi_1 in ``primes``, ln n! and
+  ln G(n+1) here) adds nonnegative multiples of 2^-53 and goes through one
+  exact integer-limb scan, :func:`_exact_prefix_sum`, so each stored
+  partial sum is the exact sum of its float terms, correctly rounded;
+  short sums use ``math.fsum``;
 * logarithms of integers too large for float conversion are split as
   ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
   relative error below 1e-15 even for million-digit inputs.
 
-Factorial, log-factorial and log-superfactorial values are memoised in
-tables that grow on demand, so repeated sweeps over (alpha, beta, n) grids
-pay for each value once.  The two float tables stop at
-``LOG_TABLE_CAP`` = 2**22 entries (about 335 MB for both): a larger
-argument raises ``ValueError`` before anything grows.
+Log-factorial and log-superfactorial values are memoised in tables that
+grow on demand, a block at a time, so repeated sweeps over (alpha, beta, n)
+grids pay for each value once.  The two tables stop at ``LOG_TABLE_CAP`` =
+2**22 entries (about 335 MB for both): a larger argument raises
+``ValueError`` before anything grows.
 """
 
 from __future__ import annotations
@@ -30,96 +32,112 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+import numpy as np
+
 LN2 = math.log(2.0)
 
-# _FACT[n] == n!,  _LNF[n] == ln(n!)  and  _LSF[k] == sum(ln j!, j < k),
-# all extended on demand.
-_FACT: list[int] = [1]
+# _LNF[n] == ln(n!)  and  _LSF[k] == sum(ln j!, j < k), extended on demand
+# to the same length; _CARRY holds the exact limb totals behind _LNF[-1] and
+# _LSF[-1], from which the next block of growth continues.
 _LNF: list[float] = [0.0]
 _LSF: list[float] = [0.0]
+_CARRY = np.zeros((2, 3), dtype=np.int64)
 
 # Largest argument of log_factorial and log_superfactorial: each table
 # entry costs ~40 B, so past this a call would take gigabytes.  It is
 # checked only where a table would grow, before it grows, so a lookup
-# costs no more than without the cap.
+# costs no more than without the cap.  It also keeps sum(ln j!, j < cap)
+# below 2^52, where the limb scan stops being exact.
 LOG_TABLE_CAP = 1 << 22
+_LOG_BLOCK = 1 << 12  # entries added per step of table growth
+
+_LIMB = 26
+_MASK = (1 << _LIMB) - 1
 
 
-class CompensatedSum:
-    """Streaming Neumaier-compensated sum.
+def _exact_prefix_sum(
+    values: np.ndarray, carry: np.ndarray, hi: np.ndarray, lo: np.ndarray | None = None
+) -> None:
+    """Continue an inclusive prefix sum of nonnegative multiples of 2^-53.
 
-    ``add`` folds one term in; ``value`` returns the best float estimate
-    of the exact sum (running sum plus accumulated compensation).  Used
-    for every summation in the package that may exceed ~1e3 terms.
+    ``values * 2^53`` is split exactly into a top limb (multiples of 2^52)
+    and two 26-bit limbs, each summed in int64 with carries propagated.
+    ``carry`` holds the running total before ``values`` as int64 limbs
+    (top, mid, low) of total * 2^53; it is advanced in place to the total
+    after them, so consecutive blocks sum as one array.  Each sum is a + b,
+    a = top * 2^52 and b < 2^52 both exact floats, so hi = fl(a + b) is
+    correctly rounded and lo = b - (hi - a), when asked for, is its exact
+    tail (fast two-sum: a = 0 or a > b).  Exact for totals below 2^52.
+    ``hi`` may be ``values`` itself.
     """
+    low, top = np.modf(values * 2.0)  # values * 2^53 = (top + low) * 2^52
+    low *= 2.0**52
+    top, low = top.astype(np.int64), low.astype(np.int64)
+    mid = low >> _LIMB
+    low &= _MASK
+    for limb, c in zip((top, mid, low), carry.tolist()):
+        np.cumsum(limb, out=limb)
+        limb += c
+    mid += low >> _LIMB
+    low &= _MASK
+    top += mid >> _LIMB
+    mid &= _MASK
+    carry[:] = top[-1], mid[-1], low[-1]
+    mid <<= _LIMB
+    mid |= low
+    b = mid.astype(np.float64)
+    a = top.astype(np.float64)
+    a *= 2.0**52
+    np.add(a, b, out=hi)
+    if lo is not None:
+        a -= hi  # exactly -(hi - a), so lo becomes b - (hi - a)
+        np.add(b, a, out=lo)
+        lo /= 2.0**53
+    hi /= 2.0**53
 
-    __slots__ = ("s", "c")
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
+def _grow_log_tables(n: int) -> None:
+    """Extend _LNF and _LSF a block at a time until both cover 0 <= n <= LOG_TABLE_CAP.
 
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
-
-
-# Running compensated accumulators holding sum(ln k, k <= len(_LNF)-1) and
-# sum(ln j!, j < len(_LSF)-1), i.e. the state needed to extend _LNF and
-# _LSF without re-summing from scratch.
-_LNF_ACC = CompensatedSum()
-_LSF_ACC = CompensatedSum()
-
-
-def factorial(n: int) -> int:
-    """n! as an exact integer (memoised)."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    if n >= len(_FACT):
-        f = _FACT[-1]
-        for k in range(len(_FACT), n + 1):
-            f *= k
-            _FACT.append(f)
-    return _FACT[n]
+    Each ln k is 0 or at least ln 2, and so is each ln k!, so both are
+    multiples of 2^-53 and the limb scan sums them exactly.
+    """
+    while len(_LNF) <= n:
+        start = len(_LNF)
+        stop = min(start + _LOG_BLOCK, LOG_TABLE_CAP + 1)
+        # math.log, not np.log: the two differ in the last bit at some k.
+        lnf = np.fromiter(map(math.log, range(start, stop)), np.float64, stop - start)
+        _exact_prefix_sum(lnf, _CARRY[0], lnf)
+        # _LSF[k] = _LSF[k-1] + _LNF[k-1]: the terms run one index behind.
+        lsf = np.concatenate(([_LNF[-1]], lnf[:-1]))
+        _exact_prefix_sum(lsf, _CARRY[1], lsf)
+        _LNF.extend(lnf.tolist())
+        _LSF.extend(lsf.tolist())
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!) from a compensated running table of ln k.
+    """ln(n!): the exact sum of ``math.log(k)`` over k <= n, correctly rounded.
 
-    Relative error is a few 1e-16 for all n reachable in practice; the
-    table shares state across calls so grid sweeps are O(1) amortised.
+    The table shares state across calls, so grid sweeps are O(1) amortised.
     """
     if n < 0 or n >= len(_LNF):
         if not 0 <= n <= LOG_TABLE_CAP:
             raise ValueError(f"log_factorial requires 0 <= n <= {LOG_TABLE_CAP}, got {n}")
-        for k in range(len(_LNF), n + 1):
-            _LNF_ACC.add(math.log(k))
-            _LNF.append(_LNF_ACC.value)
+        _grow_log_tables(n)
     return _LNF[n]
 
 
 def log_superfactorial(k: int) -> float:
-    """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G), from a compensated running table.
+    """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G), correctly rounded.
 
-    Built from the :func:`log_factorial` table the same way that table is
-    built from ln k, so a ratio of superfactorials such as
-    prod_{j=lo}^{hi-1} j! is a difference of two lookups.
+    The exact sum of the stored :func:`log_factorial` values, so a ratio of
+    superfactorials such as prod_{j=lo}^{hi-1} j! is a difference of two
+    lookups.
     """
     if k < 0 or k >= len(_LSF):
         if not 0 <= k <= LOG_TABLE_CAP:
             raise ValueError(f"log_superfactorial requires 0 <= k <= {LOG_TABLE_CAP}, got {k}")
-        log_factorial(k - 1)
-        for j in range(len(_LSF) - 1, k):
-            _LSF_ACC.add(_LNF[j])
-            _LSF.append(_LSF_ACC.value)
+        _grow_log_tables(k)
     return _LSF[k]
 
 

@@ -8,9 +8,9 @@ The central object is :class:`PrimeTable`, built once per limit:
   few powers p^k with p <= sqrt(limit) are marked directly.
 * ``psi_cum[m]`` = psi(m) = sum_{j<=m} Lambda(j) as a correctly-rounded
   float.  Every Lambda value is 0 or at least ln 2, hence an integer
-  multiple of 2^-53; the values times 2^53 are summed exactly as int64
-  limbs with carries, and psi_cum is each exact sum rounded once, which
-  makes it monotone.
+  multiple of 2^-53, so the integer-limb scan shared with ``exact``'s log
+  tables sums them exactly, and psi_cum is each exact sum rounded once,
+  which makes it monotone.
 * ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), summed the same
   way over the *stored* psi floats: hi is correctly rounded and lo the
   exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So the
@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import _exact_prefix_sum
+
 _LCM_CACHE_MAX = 2048
 
 # _LCM[m] == lcm(1, ..., m); index 0 is a padding entry.
@@ -46,49 +48,7 @@ _LCM: list[int] = [1, 1]
 # Limb sums are exact while psi_1(limit) < 2^52; psi(m) < 1.03883 m gives psi_1(9e7) < 4.3e15.
 MAX_LIMIT = 90_000_000
 
-_LIMB = 26
-_MASK = (1 << _LIMB) - 1
 _BLOCK = 1 << 15  # entries per block of build_table; of 2^13..2^20, 2^15-2^16 ran fastest
-
-
-def _exact_prefix_sum(
-    values: np.ndarray, carry: np.ndarray, hi: np.ndarray, lo: np.ndarray | None = None
-) -> None:
-    """Continue an inclusive prefix sum of nonnegative multiples of 2^-53.
-
-    ``values * 2^53`` is split exactly into a top limb (multiples of 2^52)
-    and two 26-bit limbs, each summed in int64 with carries propagated.
-    ``carry`` holds the running total before ``values`` as int64 limbs
-    (top, mid, low) of total * 2^53; it is advanced in place to the total
-    after them, so consecutive blocks sum as one array.  Each sum is a + b,
-    a = top * 2^52 and b < 2^52 both exact floats, so hi = fl(a + b) is
-    correctly rounded and lo = b - (hi - a), when asked for, is its exact
-    tail (fast two-sum: a = 0 or a > b).  Exact for totals below 2^52.
-    """
-    low, top = np.modf(values * 2.0)  # values * 2^53 = (top + low) * 2^52
-    low *= 2.0**52
-    top, low = top.astype(np.int64), low.astype(np.int64)
-    mid = low >> _LIMB
-    low &= _MASK
-    for limb, c in zip((top, mid, low), carry.tolist()):
-        np.cumsum(limb, out=limb)
-        limb += c
-    mid += low >> _LIMB
-    low &= _MASK
-    top += mid >> _LIMB
-    mid &= _MASK
-    carry[:] = top[-1], mid[-1], low[-1]
-    mid <<= _LIMB
-    mid |= low
-    b = mid.astype(np.float64)
-    a = top.astype(np.float64)
-    a *= 2.0**52
-    np.add(a, b, out=hi)
-    if lo is not None:
-        a -= hi  # exactly -(hi - a), so lo becomes b - (hi - a)
-        np.add(b, a, out=lo)
-        lo /= 2.0**53
-    hi /= 2.0**53
 
 
 def _mangoldt_base(limit: int) -> np.ndarray:

@@ -251,12 +251,10 @@ def test_s_outside_unit_interval_exits_two(capsys, monkeypatch, argv):
 def test_asymptotic_gap_past_log_table_cap_exits_two(capsys, monkeypatch):
     # Refused before the log tables grow: a grown table fails the test at
     # once instead of taking gigabytes.
-    class NoGrowth:
-        def add(self, x):
-            raise AssertionError("log table grew past its cap")
+    def no_growth(*args):
+        raise AssertionError("log table grew past its cap")
 
-    monkeypatch.setattr(exact, "_LNF_ACC", NoGrowth())
-    monkeypatch.setattr(exact, "_LSF_ACC", NoGrowth())
+    monkeypatch.setattr(exact, "_exact_prefix_sum", no_growth)
     lsf = len(exact._LSF)
     code, out, err = run_cli(
         capsys, ["table", "--kind", "asymptotic-gap", "--n", "10000000"]
@@ -278,16 +276,14 @@ def test_asymptotic_gap_past_log_table_cap_exits_two(capsys, monkeypatch):
 )
 def test_increments_past_log_table_cap_exits_two(capsys, monkeypatch, s, n_max, refused):
     # Refused before the prime table is built or a log table grows.
-    class NoGrowth:
-        def add(self, x):
-            raise AssertionError("log table grew past its cap")
+    def no_growth(*args):
+        raise AssertionError("log table grew past its cap")
 
     def no_table(limit):
         raise ValueError("stub: build_table reached")
 
     monkeypatch.setattr(cli.primes, "build_table", no_table)
-    monkeypatch.setattr(exact, "_LNF_ACC", NoGrowth())
-    monkeypatch.setattr(exact, "_LSF_ACC", NoGrowth())
+    monkeypatch.setattr(exact, "_exact_prefix_sum", no_growth)
     code, out, err = run_cli(
         capsys,
         ["table", "--kind", "increments", "--s", s, "--n-min", "2", "--n-max", n_max],

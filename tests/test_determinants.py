@@ -9,13 +9,14 @@ and seeded random instances for the polynomial determinant lemma.
 import math
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primebound import determinants as det
-from primebound.exact import factorial, pochhammer
+from primebound.exact import pochhammer
 
 
 def _cofactor_det(rows):
@@ -53,6 +54,16 @@ def test_spec_validation():
         det.SelbergSpec(alpha=1, beta=1, gamma=0, n=1)
     # Real alpha/beta are allowed; gamma and n must stay integral.
     det.SelbergSpec(alpha=1.5, beta=2.5, gamma=2, n=2)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(math.inf, 1), (1, math.inf), (math.nan, 1), (1, math.nan), (-math.inf, 1)],
+)
+def test_selberg_spec_refuses_non_finite(alpha, beta):
+    # Let through, inf made selberg_rhs return nan and selberg_rhs_exact overflow.
+    with pytest.raises(ValueError, match="finite alpha, beta > 0"):
+        det.SelbergSpec(alpha=alpha, beta=beta, gamma=1, n=2)
 
 
 # ----------------------------------------------------------------------

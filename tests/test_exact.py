@@ -10,40 +10,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primebound import exact
-
-
-# ----------------------------------------------------------------------
-# factorial
-# ----------------------------------------------------------------------
-
-
-def test_factorial_frozen_values():
-    assert exact.factorial(0) == 1
-    assert exact.factorial(5) == 120
-    assert exact.factorial(10) == 3628800
-
-
-def test_factorial_matches_stdlib_sample():
-    for n in (1, 2, 7, 23, 100, 501, 1000):
-        assert exact.factorial(n) == math.factorial(n)
-
-
-def test_factorial_recurrence_to_ten_thousand():
-    prev = exact.factorial(0)
-    for n in range(1, 10_001):
-        cur = exact.factorial(n)
-        assert cur == prev * n
-        prev = cur
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        exact.factorial(-1)
 
 
 # ----------------------------------------------------------------------
@@ -60,19 +32,19 @@ def test_pochhammer_frozen_values():
 def test_pochhammer_factorial_identity_exhaustive_small():
     # (x)_k * (x-1)! == (x+k-1)!  on the full block x + k <= 200.
     for x in range(1, 201):
-        fxm1 = exact.factorial(x - 1)
+        fxm1 = math.factorial(x - 1)
         for k in range(0, 201 - x):
-            assert exact.pochhammer(x, k) * fxm1 == exact.factorial(x + k - 1)
+            assert exact.pochhammer(x, k) * fxm1 == math.factorial(x + k - 1)
 
 
 def test_pochhammer_factorial_identity_strided_to_one_thousand():
     # Same identity on a lattice reaching the x + k = 1000 boundary.
     for x in range(1, 1001, 53):
-        fxm1 = exact.factorial(x - 1)
+        fxm1 = math.factorial(x - 1)
         ks = set(range(0, 1001 - x, 67))
         ks.add(1000 - x)  # exact boundary
         for k in sorted(ks):
-            assert exact.pochhammer(x, k) * fxm1 == exact.factorial(x + k - 1)
+            assert exact.pochhammer(x, k) * fxm1 == math.factorial(x + k - 1)
 
 
 def test_pochhammer_validation():
@@ -173,7 +145,7 @@ def test_log_factorial_frozen_values():
 def test_log_factorial_relative_error_bound():
     # Oracle: ln of the exact integer via mantissa/exponent splitting.
     for n in (10, 100, 1000):
-        oracle = exact.log_int(exact.factorial(n))
+        oracle = exact.log_int(math.factorial(n))
         got = exact.log_factorial(n)
         assert abs(got - oracle) / got <= 1e-12
 
@@ -208,17 +180,13 @@ def test_log_superfactorial_rejects_negative():
         exact.log_superfactorial(-1)
 
 
-class _NoGrowth:
-    """Stands in for a table accumulator: any attempt to grow a table fails."""
-
-    def add(self, x):
-        raise AssertionError("a log table grew for an argument past the cap")
+def _no_growth(*args):
+    raise AssertionError("a log table grew for an argument past the cap")
 
 
 def test_log_tables_refuse_past_cap_before_growing(monkeypatch):
     cap = exact.LOG_TABLE_CAP
-    monkeypatch.setattr(exact, "_LNF_ACC", _NoGrowth())
-    monkeypatch.setattr(exact, "_LSF_ACC", _NoGrowth())
+    monkeypatch.setattr(exact, "_exact_prefix_sum", _no_growth)
     lnf, lsf = len(exact._LNF), len(exact._LSF)
     for k in (cap + 1, 10**7, 10**12):
         with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
@@ -228,13 +196,91 @@ def test_log_tables_refuse_past_cap_before_growing(monkeypatch):
     assert len(exact._LNF) == lnf and len(exact._LSF) == lsf
 
 
+def _log_table_oracle(k_max):
+    """Yield (k, ln k!, ln G(k+1)) for k <= k_max from Python-int sums, each rounded once.
+
+    The terms are math.log(j) * 2^53 and, for ln G, the oracle's own
+    rounded ln j! * 2^53, all integers; int / int is correctly rounded.
+    """
+    q = 2**53
+    p = g = 0
+    lnf = 0.0
+    yield 0, 0.0, 0.0
+    for k in range(1, k_max + 1):
+        g += int(lnf * q)  # ln G(k+1) = ln G(k) + ln (k-1)!
+        p += int(math.log(k) * q)
+        lnf = p / q
+        yield k, lnf, g / q
+
+
+def _log_table_mismatches(oracle):
+    return [
+        k
+        for k, lnf, lsf in oracle
+        if exact.log_factorial(k) != lnf or exact.log_superfactorial(k) != lsf
+    ]
+
+
+def test_log_tables_equal_exact_integer_sums():
+    assert not (bad := _log_table_mismatches(_log_table_oracle(1 << 16))), bad[:5]
+
+
+@pytest.mark.slow
+def test_log_tables_equal_exact_integer_sums_to_cap():
+    cap = exact.LOG_TABLE_CAP
+    sample = {0, 1, cap - 1, cap, *random.Random(7).sample(range(cap), 4000)}
+    oracle = (row for row in _log_table_oracle(cap) if row[0] in sample)
+    assert not (bad := _log_table_mismatches(oracle)), bad[:5]
+    # Grown in whole blocks, the tables still stop at the cap.
+    assert len(exact._LNF) == len(exact._LSF) == cap + 1
+    with pytest.raises(ValueError):
+        exact.log_superfactorial(cap + 1)
+
+
+def test_log_table_cap_keeps_superfactorial_sum_exact():
+    # The limb scan is exact below 2^52.  For j < K = cap + 1,
+    # ln j! <= j ln K < j * bit_length(K), so sum_{j<K} ln j! < K(K-1)/2 * bit_length(K).
+    k = exact.LOG_TABLE_CAP + 1
+    assert k * (k - 1) // 2 * k.bit_length() < 2**52
+
+
+_SCAN_TERMS = st.lists(
+    st.tuples(st.integers(0, 2**53 - 1), st.integers(0, 40)), min_size=1, max_size=40
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_SCAN_TERMS, st.sets(st.integers(1, 39), max_size=5))
+def test_exact_prefix_sum_matches_python_ints(terms, cuts):
+    # Terms m * 2^(e-53) with a 53-bit m cover the floats below 2^40 that
+    # are nonnegative multiples of 2^-53; blocks share one carry.
+    q = 2**53
+    ints = [m << e for m, e in terms]
+    values = np.array([x / q for x in ints])
+    edges = [0, *sorted(c for c in cuts if c < len(ints)), len(ints)]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    hi, lo, in_place = np.empty_like(values), np.empty_like(values), values.copy()
+    carry, carry_in_place = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    for block in blocks:
+        exact._exact_prefix_sum(values[block], carry, hi[block], lo[block])
+        exact._exact_prefix_sum(in_place[block], carry_in_place, in_place[block])
+    total = 0
+    for x, h, l, h2 in zip(ints, hi.tolist(), lo.tolist(), in_place.tolist()):
+        total += x
+        assert h == h2 == total / q
+        assert Fraction(h) + Fraction(l) == Fraction(total, q)
+    top, mid, low = carry.tolist()
+    assert (top << 52) + (mid << 26) + low == total
+    assert carry.tolist() == carry_in_place.tolist()
+
+
 def test_log_int_small_and_huge():
     assert exact.log_int(1) == 0.0
     assert exact.log_int(7) == math.log(7)
     assert math.isclose(exact.log_int(2**200), 200 * math.log(2), rel_tol=1e-15)
     # Far beyond float range: 10**400 would overflow float(n).
     assert math.isclose(exact.log_int(10**400), 400 * math.log(10), rel_tol=1e-14)
-    big = exact.factorial(1000)
+    big = math.factorial(1000)
     assert math.isclose(exact.log_int(big), math.lgamma(1001), rel_tol=1e-13)
 
 
@@ -243,42 +289,3 @@ def test_log_int_validation():
         exact.log_int(0)
     with pytest.raises(ValueError):
         exact.log_int(-5)
-
-
-# ----------------------------------------------------------------------
-# compensated summation
-# ----------------------------------------------------------------------
-
-
-def _compensated(terms):
-    acc = exact.CompensatedSum()
-    for t in terms:
-        acc.add(t)
-    return acc.value
-
-
-def test_compensated_sum_survives_cancellation():
-    # A naive left-to-right sum returns 0.0 on both of these.
-    assert _compensated([1e16, 1.0, -1e16]) == 1.0
-    # The |new term| > |running sum| branch (where plain Kahan loses).
-    assert _compensated([1.0, 1e100, 1.0, -1e100]) == 2.0
-
-
-def test_compensated_sum_tracks_fsum():
-    rng = random.Random(123)
-    data = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(4000)]
-    got = _compensated(data)
-    want = math.fsum(data)
-    scale = sum(abs(x) for x in data)
-    # Compensated error is O(eps * sum|x|); a naive sum would sit near
-    # n*eps*scale ~ 4e-13 * scale, two orders looser than this bound.
-    assert abs(got - want) <= 1e-15 * scale
-
-
-def test_compensated_sum_streaming_state():
-    acc = exact.CompensatedSum()
-    for x in (0.1,) * 10:
-        acc.add(x)
-    assert math.isclose(acc.value, 1.0, rel_tol=1e-15)
-    acc.add(-1.0)
-    assert abs(acc.value) < 1e-15
