@@ -9,7 +9,7 @@ Modules
 -------
 exact
     Factorial ratios, Pochhammer symbols, binomials, the exact limb prefix
-    sum, correctly rounded log-factorial tables.
+    sum, a correctly rounded log-superfactorial table.
 primes
     Sieve of Eratosthenes, von Mangoldt classification, exact
     Chebyshev psi / psi_1 tables, lcm(1..m) with two algorithms.

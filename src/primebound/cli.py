@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--n-max", type=int, default=50, help="increments: last window size")
     pt.add_argument("--n", default="250,500,1000,2000", help="asymptotic-gap: comma-separated n values")
     pt.add_argument("--c-star", type=float, default=None, help="psi1: override the bound constant")
-    pt.add_argument("--limit", type=int, default=None, help="sieve limit override")
 
     ps = sub.add_parser("sieve", parents=[common], help="build a prime table and self-check")
     ps.add_argument("--limit", type=int, default=100000)
@@ -168,14 +167,21 @@ def _cmd_optimize(args) -> int:
     return _finish(rep, args.format, args.out)
 
 
+def _floor_sn(s: float, n: int, flag: str) -> int:
+    """floor(s n) for a window size n given on the command line."""
+    try:
+        return math.floor(s * n)
+    except OverflowError:  # s * n is a float; n may have thousands of digits
+        raise argparse.ArgumentTypeError(f"{flag} is too large for a float") from None
+
+
 def _table_psi1(args) -> tuple[list[str], list[list], bool]:
     xs = _parse_int_list(args.x, "--x")
     if min(xs) < 1:
         raise argparse.ArgumentTypeError("--x values must be >= 1")
-    limit = args.limit if args.limit is not None else max(xs)
-    if limit < max(xs):
-        raise argparse.ArgumentTypeError("--limit is below the largest --x")
-    table = primes.build_table(limit)
+    if args.c_star is not None and not math.isfinite(args.c_star):
+        raise argparse.ArgumentTypeError(f"--c-star must be finite, got {args.c_star}")
+    table = primes.build_table(max(xs))
     rows_out = []
     ok = True
     for row in bounds.empirical_table(table, xs, c_star=args.c_star):
@@ -188,20 +194,16 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
         raise argparse.ArgumentTypeError("need 1 <= --n-min <= --n-max")
     if not 0.0 < args.s <= 1.0:
         raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
-    if math.floor(args.s * args.n_min) < 1:
+    if _floor_sn(args.s, args.n_min, "--n-min") < 1:
         raise argparse.ArgumentTypeError("--n-min too small: floor(s*n) must be >= 1")
-    a_max = int(math.floor(args.s * args.n_max))
-    # log_delta reads the log tables up to 2a+2n-2; refuse before the sieve, not after it.
+    a_max = _floor_sn(args.s, args.n_max, "--n-max")
+    # log_delta reads the log table up to 2a+2n-2; refuse before the sieve, not after it.
     if 2 * a_max + 2 * args.n_max - 2 > LOG_TABLE_CAP:
         raise argparse.ArgumentTypeError(
             f"--n-max {args.n_max} at --s {args.s} needs log tables past "
             f"their cap of {LOG_TABLE_CAP} entries"
         )
-    top = 2 * a_max + 2 * args.n_max
-    limit = args.limit if args.limit is not None else top
-    if limit < top:
-        raise argparse.ArgumentTypeError("--limit is below the largest window top")
-    table = primes.build_table(limit)
+    table = primes.build_table(2 * a_max + 2 * args.n_max)
     rows_out = []
     ok = True
     for n in range(args.n_min, args.n_max + 1):
@@ -215,7 +217,7 @@ def _table_gap(args) -> tuple[list[str], list[list], bool]:
     ns = _parse_int_list(args.n, "--n")
     if not 0.0 < args.s <= 1.0:
         raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
-    if any(math.floor(args.s * n) < 1 for n in ns):
+    if any(_floor_sn(args.s, n, "--n") < 1 for n in ns):
         raise argparse.ArgumentTypeError("every --n must satisfy floor(s*n) >= 1")
     f = bounds.f_coeff(args.s)
     rows_out = []

@@ -10,20 +10,20 @@ care goes, and the rules used throughout the package are:
 
 * ``math.lgamma`` / ``math.log`` give relative error of a few ulp, far
   below the 1e-12 per-operation budget assumed by callers;
-* every long running sum (psi and psi_1 in ``primes``, ln n! and
-  ln G(n+1) here) adds nonnegative multiples of 2^-53 and goes through one
-  exact integer-limb scan, :func:`_exact_prefix_sum`, so each stored
-  partial sum is the exact sum of its float terms, correctly rounded;
-  short sums use ``math.fsum``;
+* every long running sum (psi and psi_1 in ``primes``, ln G(n+1) here)
+  adds nonnegative multiples of 2^-53 and goes through one exact
+  integer-limb scan, :func:`_exact_prefix_sum`, so each stored partial
+  sum is the exact sum of its float terms, correctly rounded; short sums
+  use ``math.fsum``;
 * logarithms of integers too large for float conversion are split as
   ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
   relative error below 1e-15 even for million-digit inputs.
 
-Log-factorial and log-superfactorial values are memoised in tables that
-grow on demand, a block at a time, so repeated sweeps over (alpha, beta, n)
-grids pay for each value once.  The two tables stop at ``LOG_TABLE_CAP`` =
-2**22 entries (about 335 MB for both): a larger argument raises
-``ValueError`` before anything grows.
+Log-superfactorial values ln G(k+1) are memoised in one table that grows
+on demand, a block at a time, so repeated sweeps over (alpha, beta, n)
+grids pay for each value once.  The table stops at ``LOG_TABLE_CAP`` =
+2**22 entries (a process that grows it there peaks at 189 MB): a larger
+argument raises ``ValueError`` before anything grows.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# _LNF[n] == ln(n!)  and  _LSF[k] == sum(ln j!, j < k), extended on demand
-# to the same length; _CARRY holds the exact limb totals behind _LNF[-1] and
-# _LSF[-1], from which the next block of growth continues.
-_LNF: list[float] = [0.0]
-_LSF: list[float] = [0.0]
+# _LSF[k] == sum(ln j!, j < k), extended on demand; _CARRY holds the exact
+# limb totals behind ln((len(_LSF) - 2)!) and _LSF[-1], from which the next
+# block of growth continues.
+_LSF: list[float] = [0.0, 0.0]
 _CARRY = np.zeros((2, 3), dtype=np.int64)
 
-# Largest argument of log_factorial and log_superfactorial: each table
-# entry costs ~40 B, so past this a call would take gigabytes.  It is
-# checked only where a table would grow, before it grows, so a lookup
+# Largest argument of log_superfactorial: each table entry costs ~38 B
+# at the peak of growth, so past this a call would take gigabytes.  It is
+# checked only where the table would grow, before it grows, so a lookup
 # costs no more than without the cap.  It also keeps sum(ln j!, j < cap)
 # below 2^52, where the limb scan stops being exact.
 LOG_TABLE_CAP = 1 << 22
@@ -96,48 +95,37 @@ def _exact_prefix_sum(
     hi /= 2.0**53
 
 
-def _grow_log_tables(n: int) -> None:
-    """Extend _LNF and _LSF a block at a time until both cover 0 <= n <= LOG_TABLE_CAP.
+def _grow_log_table(k: int) -> None:
+    """Extend _LSF a block at a time until it covers 0 <= k <= LOG_TABLE_CAP.
 
-    Each ln k is 0 or at least ln 2, and so is each ln k!, so both are
-    multiples of 2^-53 and the limb scan sums them exactly.
+    _LSF[k] = _LSF[k-1] + ln (k-1)!, so a block of _LSF from index
+    ``start`` needs ln j! for start-1 <= j < stop-1: one scan of the
+    ``math.log(j)`` terms gives those, a second scan sums them, and the ln j!
+    block is dropped.  Each ln j and each ln j! is 0 or at least ln 2, so
+    all are multiples of 2^-53 and the limb scan sums them exactly.
     """
-    while len(_LNF) <= n:
-        start = len(_LNF)
+    while len(_LSF) <= k:
+        start = len(_LSF)
         stop = min(start + _LOG_BLOCK, LOG_TABLE_CAP + 1)
-        # math.log, not np.log: the two differ in the last bit at some k.
-        lnf = np.fromiter(map(math.log, range(start, stop)), np.float64, stop - start)
-        _exact_prefix_sum(lnf, _CARRY[0], lnf)
-        # _LSF[k] = _LSF[k-1] + _LNF[k-1]: the terms run one index behind.
-        lsf = np.concatenate(([_LNF[-1]], lnf[:-1]))
-        _exact_prefix_sum(lsf, _CARRY[1], lsf)
-        _LNF.extend(lnf.tolist())
-        _LSF.extend(lsf.tolist())
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!): the exact sum of ``math.log(k)`` over k <= n, correctly rounded.
-
-    The table shares state across calls, so grid sweeps are O(1) amortised.
-    """
-    if n < 0 or n >= len(_LNF):
-        if not 0 <= n <= LOG_TABLE_CAP:
-            raise ValueError(f"log_factorial requires 0 <= n <= {LOG_TABLE_CAP}, got {n}")
-        _grow_log_tables(n)
-    return _LNF[n]
+        # math.log, not np.log: the two differ in the last bit at some j.
+        terms = np.fromiter(map(math.log, range(start - 1, stop - 1)), np.float64, stop - start)
+        _exact_prefix_sum(terms, _CARRY[0], terms)  # ln j!
+        _exact_prefix_sum(terms, _CARRY[1], terms)  # _LSF[j + 1]
+        _LSF.extend(terms.tolist())
 
 
 def log_superfactorial(k: int) -> float:
     """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G), correctly rounded.
 
-    The exact sum of the stored :func:`log_factorial` values, so a ratio of
+    The exact sum of the correctly rounded ln j!, so a ratio of
     superfactorials such as prod_{j=lo}^{hi-1} j! is a difference of two
-    lookups.
+    lookups.  The table shares state across calls, so grid sweeps are O(1)
+    amortised.
     """
     if k < 0 or k >= len(_LSF):
         if not 0 <= k <= LOG_TABLE_CAP:
             raise ValueError(f"log_superfactorial requires 0 <= k <= {LOG_TABLE_CAP}, got {k}")
-        _grow_log_tables(k)
+        _grow_log_table(k)
     return _LSF[k]
 
 

@@ -209,10 +209,8 @@ def test_out_flag_writes_file(capsys, tmp_path):
         ["table", "--kind", "nope"],
         ["table", "--kind", "psi1", "--x", "0"],
         ["table", "--kind", "psi1", "--x", "5,abc"],
-        ["table", "--kind", "psi1", "--x", "100", "--limit", "50"],
         ["table", "--kind", "increments", "--s", "0.001"],
         ["table", "--kind", "increments", "--n-min", "9", "--n-max", "3"],
-        ["table", "--kind", "increments", "--limit", "50"],
         ["table", "--kind", "asymptotic-gap", "--s", "-0.4"],
         ["table", "--kind", "asymptotic-gap", "--n", ""],
         ["sieve", "--limit", "0"],
@@ -291,6 +289,46 @@ def test_increments_past_log_table_cap_exits_two(capsys, monkeypatch, s, n_max, 
     assert code == 2
     assert out == ""
     assert err.startswith("error: --n-max" if refused else "error: stub: build_table reached")
+
+
+@pytest.mark.parametrize("c_star", ["nan", "inf", "-inf"])
+def test_psi1_non_finite_c_star_exits_two(capsys, monkeypatch, c_star):
+    # Refused before the sieve: a table build fails the test.
+    def no_table(limit):
+        raise AssertionError("table built for a non-finite --c-star")
+
+    monkeypatch.setattr(cli.primes, "build_table", no_table)
+    code, out, err = run_cli(
+        capsys, ["table", "--kind", "psi1", "--x", "10,100", f"--c-star={c_star}"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --c-star")
+
+
+_HUGE = str(10**400)  # past the largest float, so s * n overflows
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table", "--kind", "asymptotic-gap", "--n", _HUGE], "--n"),
+        (["table", "--kind", "asymptotic-gap", "--n", f"1000,{_HUGE}"], "--n"),
+        (["table", "--kind", "increments", "--n-max", _HUGE], "--n-max"),
+        (["table", "--kind", "increments", "--n-min", _HUGE, "--n-max", _HUGE], "--n-min"),
+    ],
+)
+def test_window_size_past_float_range_exits_two(capsys, monkeypatch, argv, flag):
+    # Refused before the prime table is built or a log table grows.
+    def no_tables(*args):
+        raise AssertionError("a table was built or grown for a window size past the float range")
+
+    monkeypatch.setattr(cli.primes, "build_table", no_tables)
+    monkeypatch.setattr(exact, "_exact_prefix_sum", no_tables)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 @pytest.mark.parametrize(

@@ -132,32 +132,8 @@ def test_binomial_validation():
 
 
 # ----------------------------------------------------------------------
-# log_factorial / log_int
+# log_superfactorial / log_int
 # ----------------------------------------------------------------------
-
-
-def test_log_factorial_frozen_values():
-    assert exact.log_factorial(0) == 0.0
-    assert math.isclose(exact.log_factorial(5), math.log(120), rel_tol=1e-14)
-    assert math.isclose(exact.log_factorial(20), 42.335616461, rel_tol=1e-9)
-
-
-def test_log_factorial_relative_error_bound():
-    # Oracle: ln of the exact integer via mantissa/exponent splitting.
-    for n in (10, 100, 1000):
-        oracle = exact.log_int(math.factorial(n))
-        got = exact.log_factorial(n)
-        assert abs(got - oracle) / got <= 1e-12
-
-
-def test_log_factorial_matches_lgamma():
-    for n in (3, 50, 777, 2500):
-        assert math.isclose(exact.log_factorial(n), math.lgamma(n + 1), rel_tol=1e-13)
-
-
-def test_log_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        exact.log_factorial(-2)
 
 
 def test_log_superfactorial_small_values():
@@ -187,17 +163,15 @@ def _no_growth(*args):
 def test_log_tables_refuse_past_cap_before_growing(monkeypatch):
     cap = exact.LOG_TABLE_CAP
     monkeypatch.setattr(exact, "_exact_prefix_sum", _no_growth)
-    lnf, lsf = len(exact._LNF), len(exact._LSF)
+    lsf = len(exact._LSF)
     for k in (cap + 1, 10**7, 10**12):
         with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
-            exact.log_factorial(k)
-        with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
             exact.log_superfactorial(k)
-    assert len(exact._LNF) == lnf and len(exact._LSF) == lsf
+    assert len(exact._LSF) == lsf
 
 
 def _log_table_oracle(k_max):
-    """Yield (k, ln k!, ln G(k+1)) for k <= k_max from Python-int sums, each rounded once.
+    """Yield (k, ln G(k+1)) for k <= k_max from Python-int sums, each rounded once.
 
     The terms are math.log(j) * 2^53 and, for ln G, the oracle's own
     rounded ln j! * 2^53, all integers; int / int is correctly rounded.
@@ -205,20 +179,16 @@ def _log_table_oracle(k_max):
     q = 2**53
     p = g = 0
     lnf = 0.0
-    yield 0, 0.0, 0.0
+    yield 0, 0.0
     for k in range(1, k_max + 1):
         g += int(lnf * q)  # ln G(k+1) = ln G(k) + ln (k-1)!
         p += int(math.log(k) * q)
         lnf = p / q
-        yield k, lnf, g / q
+        yield k, g / q
 
 
 def _log_table_mismatches(oracle):
-    return [
-        k
-        for k, lnf, lsf in oracle
-        if exact.log_factorial(k) != lnf or exact.log_superfactorial(k) != lsf
-    ]
+    return [k for k, lsf in oracle if exact.log_superfactorial(k) != lsf]
 
 
 def test_log_tables_equal_exact_integer_sums():
@@ -231,8 +201,8 @@ def test_log_tables_equal_exact_integer_sums_to_cap():
     sample = {0, 1, cap - 1, cap, *random.Random(7).sample(range(cap), 4000)}
     oracle = (row for row in _log_table_oracle(cap) if row[0] in sample)
     assert not (bad := _log_table_mismatches(oracle)), bad[:5]
-    # Grown in whole blocks, the tables still stop at the cap.
-    assert len(exact._LNF) == len(exact._LSF) == cap + 1
+    # Grown in whole blocks, the table still stops at the cap.
+    assert len(exact._LSF) == cap + 1
     with pytest.raises(ValueError):
         exact.log_superfactorial(cap + 1)
 
