@@ -209,8 +209,11 @@ def test_out_flag_writes_file(capsys, tmp_path):
         ["table", "--kind", "nope"],
         ["table", "--kind", "psi1", "--x", "0"],
         ["table", "--kind", "psi1", "--x", "5,abc"],
+        # --limit was removed from table; argparse refuses it as unknown.
+        ["table", "--kind", "psi1", "--x", "100", "--limit", "50"],
         ["table", "--kind", "increments", "--s", "0.001"],
         ["table", "--kind", "increments", "--n-min", "9", "--n-max", "3"],
+        ["table", "--kind", "increments", "--limit", "50"],
         ["table", "--kind", "asymptotic-gap", "--s", "-0.4"],
         ["table", "--kind", "asymptotic-gap", "--n", ""],
         ["sieve", "--limit", "0"],
