@@ -9,7 +9,7 @@ Modules
 -------
 exact
     Factorial ratios, Pochhammer symbols, binomials, the exact limb prefix
-    sum, a correctly rounded log-superfactorial table.
+    sum, log-superfactorials from a correctly rounded table and a series.
 primes
     Sieve of Eratosthenes, von Mangoldt classification, exact
     Chebyshev psi / psi_1 tables, lcm(1..m) with two algorithms.

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import bounds, primes, report, suites
-from .exact import LOG_TABLE_CAP, log_int
+from .exact import log_int
 
 _FORMATS = ("text", "json", "csv")
 
@@ -197,12 +197,6 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
     if _floor_sn(args.s, args.n_min, "--n-min") < 1:
         raise argparse.ArgumentTypeError("--n-min too small: floor(s*n) must be >= 1")
     a_max = _floor_sn(args.s, args.n_max, "--n-max")
-    # log_delta reads the log table up to 2a+2n-2; refuse before the sieve, not after it.
-    if 2 * a_max + 2 * args.n_max - 2 > LOG_TABLE_CAP:
-        raise argparse.ArgumentTypeError(
-            f"--n-max {args.n_max} at --s {args.s} needs log tables past "
-            f"their cap of {LOG_TABLE_CAP} entries"
-        )
     table = primes.build_table(2 * a_max + 2 * args.n_max)
     rows_out = []
     ok = True

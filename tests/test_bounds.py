@@ -53,6 +53,8 @@ def test_bound_params_floor_and_validation():
         bounds.BoundParams(s=0.5, n=0)
     with pytest.raises(ValueError):
         bounds.BoundParams(s=0.1, n=3)  # floor(s*n) = 0 is rejected, not clamped
+    with pytest.raises(ValueError, match="too large for a float"):
+        bounds.BoundParams(s=0.5, n=10**400)  # s * n would overflow a float
 
 
 @pytest.mark.parametrize("s", [math.inf, math.nan, 1.5, -math.inf])
@@ -153,6 +155,26 @@ def test_log_delta_matches_lgamma_sum_to_twenty_thousand():
                           -math.lgamma(2 * a + n + j - 1))
             )
             assert abs(bounds.log_delta(p) - oracle) <= 1e-12 * abs(oracle), (s, n)
+
+
+def _mp_log_delta(p):
+    def G(k):  # ln G(k+1) = sum_{j<k} ln j!
+        return mpmath.log(mpmath.barnesg(k + 1))
+
+    a, n = p.a, p.n
+    return 2 * (G(a + n - 1) - G(a - 1)) + G(n) - (G(2 * a + 2 * n - 2) - G(2 * a + n - 2))
+
+
+@pytest.mark.parametrize(
+    "s, n", [(S_TARGET, 30000), (0.05, 10**6), (S_TARGET, 10**6), (1.0, 123457)]
+)
+def test_log_delta_matches_mpmath_barnes_g_to_a_million(s, n):
+    # Table and series on either side of the seam: at (S_TARGET, 30000) only
+    # the top argument is above it, at (0.05, 1e6) only the bottom one below.
+    p = bounds.BoundParams(s=s, n=n)
+    with mpmath.workdps(40):
+        oracle = _mp_log_delta(p)
+        assert abs(bounds.log_delta(p) - oracle) <= 1e-13 * abs(oracle)
 
 
 # ----------------------------------------------------------------------

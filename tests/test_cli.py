@@ -249,49 +249,54 @@ def test_s_outside_unit_interval_exits_two(capsys, monkeypatch, argv):
     assert err.startswith("error: --s must be in (0, 1]")
 
 
-def test_asymptotic_gap_past_log_table_cap_exits_two(capsys, monkeypatch):
-    # Refused before the log tables grow: a grown table fails the test at
-    # once instead of taking gigabytes.
+def test_asymptotic_gap_above_log_table_seam_answers(capsys, monkeypatch):
+    # Every G argument is above the seam, so the series answers and no
+    # table grows: a grown table fails the test.
     def no_growth(*args):
-        raise AssertionError("log table grew past its cap")
+        raise AssertionError("log table grew for an argument above its seam")
 
     monkeypatch.setattr(exact, "_exact_prefix_sum", no_growth)
     lsf = len(exact._LSF)
     code, out, err = run_cli(
-        capsys, ["table", "--kind", "asymptotic-gap", "--n", "10000000"]
+        capsys, ["table", "--kind", "asymptotic-gap", "--n", "10000000", "--format", "csv"]
     )
+    assert code == 0
+    assert err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[0] == "10000000" and 0.0 < float(row[3]) < 1e-6
+    assert len(exact._LSF) == lsf <= exact._LOG_SEAM + 1
+
+
+def test_asymptotic_gap_past_float_range_exits_two(capsys):
+    # ln G overflows a float long before s * n does.
+    code, out, err = run_cli(capsys, ["table", "--kind", "asymptotic-gap", "--n", str(10**200)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: log_superfactorial requires")
-    assert len(exact._LSF) == lsf
+    assert err.startswith("error: log_superfactorial(") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "s, n_max, refused",
     [
-        ("1", "1100000", True),
-        # s = 1/2: the largest G argument 3 n_max - 2 meets the cap at 1398102.
-        ("0.5", "1398103", True),
-        ("0.5", "1398102", False),
+        ("1", "22500001", True),
+        # s = 1/2: the top window 3 n_max meets the sieve's MAX_LIMIT at 3e7.
+        ("0.5", "30000001", True),
+        ("0.5", "30000000", False),
     ],
 )
-def test_increments_past_log_table_cap_exits_two(capsys, monkeypatch, s, n_max, refused):
-    # Refused before the prime table is built or a log table grows.
-    def no_growth(*args):
-        raise AssertionError("log table grew past its cap")
+def test_increments_past_sieve_limit_exits_two(capsys, monkeypatch, s, n_max, refused):
+    # Refused by build_table before it allocates; an accepted limit reaches the stub.
+    def no_sieve(limit):
+        raise ValueError("stub: sieve reached")
 
-    def no_table(limit):
-        raise ValueError("stub: build_table reached")
-
-    monkeypatch.setattr(cli.primes, "build_table", no_table)
-    monkeypatch.setattr(exact, "_exact_prefix_sum", no_growth)
+    monkeypatch.setattr(cli.primes, "_mangoldt_base", no_sieve)
     code, out, err = run_cli(
         capsys,
         ["table", "--kind", "increments", "--s", s, "--n-min", "2", "--n-max", n_max],
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --n-max" if refused else "error: stub: build_table reached")
+    assert err.startswith("error: build_table requires" if refused else "error: stub: sieve reached")
 
 
 @pytest.mark.parametrize("c_star", ["nan", "inf", "-inf"])

@@ -3,13 +3,14 @@
 Integer operations are checked against independent oracles (stdlib
 factorial, repeated multiplication, Pascal recurrences) and against their
 defining recurrences over the documented ranges.  Float helpers are
-checked against exact integer/rational arithmetic via ``Fraction``.
+checked against exact integer/rational arithmetic via ``Fraction``, and
+the log-superfactorial series above the table against mpmath's Barnes G.
 """
 
 import math
-import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,17 +158,63 @@ def test_log_superfactorial_rejects_negative():
 
 
 def _no_growth(*args):
-    raise AssertionError("a log table grew for an argument past the cap")
+    raise AssertionError("the log table grew for an argument above its seam")
 
 
-def test_log_tables_refuse_past_cap_before_growing(monkeypatch):
-    cap = exact.LOG_TABLE_CAP
+def test_log_superfactorial_above_seam_never_grows_table(monkeypatch):
+    seam = exact._LOG_SEAM
     monkeypatch.setattr(exact, "_exact_prefix_sum", _no_growth)
     lsf = len(exact._LSF)
-    for k in (cap + 1, 10**7, 10**12):
-        with pytest.raises(ValueError, match=f"<= {cap}, got {k}"):
-            exact.log_superfactorial(k)
-    assert len(exact._LSF) == lsf
+    for k in (seam + 1, 10**7, 10**12):
+        assert math.isfinite(exact.log_superfactorial(k))
+    assert len(exact._LSF) == lsf <= seam + 1
+
+
+@pytest.mark.parametrize("e", [160, 400])
+def test_log_superfactorial_past_float_range_raises(e):
+    # ln G(k+1) ~ k^2 ln k / 2 overflows a float from k ~ 1e153 on.
+    with pytest.raises(ValueError, match="past the float range"):
+        exact.log_superfactorial(10**e)
+
+
+def _mp_log_g(k):
+    """ln G(k+1) at the working precision of mpmath."""
+    return mpmath.log(mpmath.barnesg(k + 1))
+
+
+def test_log_superfactorial_matches_mpmath_barnes_g():
+    # The 1,000 table entries below the seam and 1,000 series values above
+    # it, from one Barnes G value and G(k+2) = k! G(k+1); the far end is
+    # checked against Barnes G directly.  Then sampled k up to 1e12.
+    seam = exact._LOG_SEAM
+    with mpmath.workdps(40):
+        lo, hi = seam - 999, seam + 1000
+        g = _mp_log_g(lo)
+        for k in range(lo, hi + 1):
+            assert abs(exact.log_superfactorial(k) - g) <= 1e-15 * g, k
+            g += mpmath.loggamma(k + 1)
+        assert abs(g - _mp_log_g(hi + 1)) <= mpmath.mpf("1e-30") * g
+        for k in (10**5, 10**6, 10**8, 10**12):
+            g = _mp_log_g(k)
+            assert abs(exact.log_superfactorial(k) - g) <= 1e-15 * g, k
+
+
+def test_log_superfactorial_series_holds_from_k_25(monkeypatch):
+    # With the seam moved down and the table emptied, the series answers
+    # alone; its Bernoulli terms are what keep it within 1e-15 this low.
+    monkeypatch.setattr(exact, "_LOG_SEAM", 24)
+    monkeypatch.setattr(exact, "_LSF", [0.0, 0.0])
+    monkeypatch.setattr(exact, "_exact_prefix_sum", _no_growth)
+    with mpmath.workdps(40):
+        for k in range(25, 200, 7):
+            g = _mp_log_g(k)
+            assert abs(exact.log_superfactorial(k) - g) <= 1e-15 * g, k
+
+
+def test_zeta_prime_literal_matches_mpmath():
+    with mpmath.workdps(40):
+        assert exact._ZETA_M1 == float(mpmath.zeta(-1, derivative=1))
+        assert exact._HALF_LN_2PI == float(mpmath.log(2 * mpmath.pi) / 2)
 
 
 def _log_table_oracle(k_max):
@@ -195,22 +242,11 @@ def test_log_tables_equal_exact_integer_sums():
     assert not (bad := _log_table_mismatches(_log_table_oracle(1 << 16))), bad[:5]
 
 
-@pytest.mark.slow
-def test_log_tables_equal_exact_integer_sums_to_cap():
-    cap = exact.LOG_TABLE_CAP
-    sample = {0, 1, cap - 1, cap, *random.Random(7).sample(range(cap), 4000)}
-    oracle = (row for row in _log_table_oracle(cap) if row[0] in sample)
-    assert not (bad := _log_table_mismatches(oracle)), bad[:5]
-    # Grown in whole blocks, the table still stops at the cap.
-    assert len(exact._LSF) == cap + 1
-    with pytest.raises(ValueError):
-        exact.log_superfactorial(cap + 1)
-
-
 def test_log_table_cap_keeps_superfactorial_sum_exact():
-    # The limb scan is exact below 2^52.  For j < K = cap + 1,
-    # ln j! <= j ln K < j * bit_length(K), so sum_{j<K} ln j! < K(K-1)/2 * bit_length(K).
-    k = exact.LOG_TABLE_CAP + 1
+    # The limb scan is exact below 2^52, and the table stops at the seam.
+    # For j < K = seam + 1, ln j! <= j ln K < j * bit_length(K), so
+    # sum_{j<K} ln j! < K(K-1)/2 * bit_length(K).
+    k = exact._LOG_SEAM + 1
     assert k * (k - 1) // 2 * k.bit_length() < 2**52
 
 
