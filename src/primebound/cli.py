@@ -216,9 +216,8 @@ def _table_gap(args) -> tuple[list[str], list[list], bool]:
     f = bounds.f_coeff(args.s)
     rows_out = []
     for n in ns:
-        p = bounds.BoundParams(s=args.s, n=n)
-        g = bounds.asymptotic_gap(p)
-        rows_out.append([n, bounds.log_delta(p) / (n * n), f, g])
+        r = bounds.log_delta(bounds.BoundParams(s=args.s, n=n)) / (n * n)
+        rows_out.append([n, r, f, abs(r - f)])  # gap, as bounds.asymptotic_gap
     return ["n", "log_delta_over_n2", "f_limit", "gap"], rows_out, True
 
 

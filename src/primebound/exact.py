@@ -61,9 +61,13 @@ def _exact_prefix_sum(
     a = top * 2^52 and b < 2^52 both exact floats, so hi = fl(a + b) is
     correctly rounded and lo = b - (hi - a), when asked for, is its exact
     tail (fast two-sum: a = 0 or a > b).  Exact for totals below 2^52.
-    ``hi`` may be ``values`` itself.
+    ``hi`` may be ``values`` itself.  An empty ``values`` changes nothing.
     """
-    low, top = np.modf(values * 2.0)  # values * 2^53 = (top + low) * 2^52
+    if not values.size:
+        return
+    low = values * 2.0  # values * 2^53 = (top + low) * 2^52
+    top = np.trunc(low)
+    low -= top  # exact: the fraction of a nonnegative float is a float
     low *= 2.0**52
     top, low = top.astype(np.int64), low.astype(np.int64)
     mid = low >> _LIMB
@@ -125,7 +129,12 @@ def log_superfactorial(k: int) -> float:
             tail = w * (-1.0 / 240.0 + w * (1.0 / 1008.0 - w / 1440.0))
             value = 0.5 * x * x * ln - 0.75 * x * x + x * _HALF_LN_2PI - ln / 12.0 + _ZETA_M1 + tail
             if not math.isfinite(value):
-                raise ValueError(f"log_superfactorial({k}) is past the float range")
+                # Name k by its digit count: str(k) may be thousands of digits long.
+                digits = int((k.bit_length() - 1) * math.log10(2.0)) + 1
+                digits += k >= 10**digits
+                raise ValueError(
+                    f"log_superfactorial(k) is past the float range for a k of {digits} digits"
+                )
             return value
         if k < 0:
             raise ValueError(f"log_superfactorial requires k >= 0, got {k}")

@@ -10,7 +10,9 @@ The central object is :class:`PrimeTable`, built once per limit:
   float.  Every Lambda value is 0 or at least ln 2, hence an integer
   multiple of 2^-53, so the integer-limb scan shared with ``exact``'s log
   tables sums them exactly, and psi_cum is each exact sum rounded once,
-  which makes it monotone.
+  which makes it monotone.  Only the prime powers (about 8% of the entries
+  at 6e5) are scanned; every other entry holds the psi of the prime power
+  before it.
 * ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), summed the same
   way over the *stored* psi floats: hi is correctly rounded and lo the
   exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So the
@@ -18,7 +20,8 @@ The central object is :class:`PrimeTable`, built once per limit:
   exactly, bit for bit, which :func:`psi1_increment` exposes.
 
 Both sums run in one pass over cache-sized blocks, each block continuing
-from the exact limb totals of the one before.
+from the exact limb totals of the one before: psi over the block's prime
+powers, then psi_1 over every stored psi value of the block.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -48,7 +51,9 @@ _LCM: list[int] = [1, 1]
 # Limb sums are exact while psi_1(limit) < 2^52; psi(m) < 1.03883 m gives psi_1(9e7) < 4.3e15.
 MAX_LIMIT = 90_000_000
 
-_BLOCK = 1 << 15  # entries per block of build_table; of 2^13..2^20, 2^15-2^16 ran fastest
+# Entries per block of build_table.  With psi sparse, of 2^12..2^18 timed at
+# limits 632,456, 4e6 and 1e7, 2^15 and 2^16 tied within noise; 2^12 was slowest.
+_BLOCK = 1 << 15
 
 
 def _mangoldt_base(limit: int) -> np.ndarray:
@@ -80,7 +85,8 @@ class PrimeTable:
     mangoldt_base:
         int64; entry m is p when m = p^k, else 0.
     psi_cum:
-        float64; psi(m), correctly rounded, nondecreasing.
+        float64; psi(m), correctly rounded, nondecreasing; it steps only at
+        prime powers, where mangoldt_base is nonzero.
     psi1_hi, psi1_lo:
         float64; psi_1(m) summed exactly over the stored psi values: hi
         correctly rounded, lo the exact remainder (limits <= MAX_LIMIT).
@@ -102,11 +108,18 @@ def build_table(limit: int) -> PrimeTable:
     psi_carry, psi1_carry = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
     for start in range(0, limit + 1, _BLOCK):
         block = slice(start, start + _BLOCK)
-        lam = np.log(np.maximum(base[block], 1).astype(np.float64))  # ln 1 = 0 off prime powers
-        _exact_prefix_sum(lam, psi_carry, psi_cum[block])
+        # psi steps only at prime powers: sum Lambda there, then hold each
+        # value until the next step (psi is nondecreasing, so a running max).
+        at = np.flatnonzero(base[block])
+        lam = np.log(base[block][at].astype(np.float64))
+        _exact_prefix_sum(lam, psi_carry, lam)
+        psi = psi_cum[block]
+        psi.fill(psi_cum[start - 1] if start else 0.0)
+        psi[at] = lam
+        np.maximum.accumulate(psi, out=psi)
         # The tail of psi is dropped, so psi_1 is the exact running sum of the
         # *stored* psi values.
-        _exact_prefix_sum(psi_cum[block], psi1_carry, psi1_hi[block], psi1_lo[block])
+        _exact_prefix_sum(psi, psi1_carry, psi1_hi[block], psi1_lo[block])
     for arr in (base, psi_cum, psi1_hi, psi1_lo):
         arr.setflags(write=False)
     return PrimeTable(

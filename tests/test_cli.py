@@ -273,6 +273,21 @@ def test_asymptotic_gap_past_float_range_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: log_superfactorial(") and err.count("\n") == 1
+    assert len(err) < 120 and "201 digits" in err
+
+
+def test_asymptotic_gap_evaluates_log_delta_once_per_row(capsys, monkeypatch):
+    # ln Delta_n is four differences of ln G values, five calls in all;
+    # both the ratio and the gap column come from that one value.
+    calls = []
+    lsf = cli.bounds.log_superfactorial
+    monkeypatch.setattr(cli.bounds, "log_superfactorial", lambda k: calls.append(k) or lsf(k))
+    code, out, _ = run_cli(
+        capsys, ["table", "--kind", "asymptotic-gap", "--n", "1000,2000,100000", "--format", "csv"]
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert len(calls) == 5 * 3
 
 
 @pytest.mark.parametrize(

@@ -172,9 +172,12 @@ def test_log_superfactorial_above_seam_never_grows_table(monkeypatch):
 
 @pytest.mark.parametrize("e", [160, 400])
 def test_log_superfactorial_past_float_range_raises(e):
-    # ln G(k+1) ~ k^2 ln k / 2 overflows a float from k ~ 1e153 on.
-    with pytest.raises(ValueError, match="past the float range"):
+    # ln G(k+1) ~ k^2 ln k / 2 overflows a float from k ~ 1e153 on.  The
+    # message names k by its digit count, so it stays one short line.
+    with pytest.raises(ValueError, match="past the float range") as info:
         exact.log_superfactorial(10**e)
+    assert f"{e + 1} digits" in str(info.value)
+    assert len(f"error: {info.value}") < 120
 
 
 def _mp_log_g(k):
@@ -278,6 +281,26 @@ def test_exact_prefix_sum_matches_python_ints(terms, cuts):
     top, mid, low = carry.tolist()
     assert (top << 52) + (mid << 26) + low == total
     assert carry.tolist() == carry_in_place.tolist()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_SCAN_TERMS, st.integers(0, 40))
+def test_exact_prefix_sum_empty_part_is_a_no_op(terms, k):
+    # [k entries, 0 entries, rest] scanned in turn equals one scan of the
+    # whole, bit for bit; the empty scan leaves the carry as it was.
+    values = np.array([(m << e) / 2**53 for m, e in terms])
+    k = min(k, len(values))
+    whole_hi, whole_lo, whole_carry = np.empty_like(values), np.empty_like(values), np.zeros(3, np.int64)
+    exact._exact_prefix_sum(values, whole_carry, whole_hi, whole_lo)
+    hi, lo, carry = np.empty_like(values), np.empty_like(values), np.zeros(3, np.int64)
+    for part in (slice(0, k), slice(k, k), slice(k, None)):
+        before = carry.copy()
+        exact._exact_prefix_sum(values[part], carry, hi[part], lo[part])
+        if part.start == part.stop:
+            assert carry.tolist() == before.tolist()
+    assert hi.view(np.int64).tolist() == whole_hi.view(np.int64).tolist()
+    assert lo.view(np.int64).tolist() == whole_lo.view(np.int64).tolist()
+    assert carry.tolist() == whole_carry.tolist()
 
 
 def test_log_int_small_and_huge():

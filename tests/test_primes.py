@@ -248,7 +248,11 @@ def test_tables_equal_exact_integer_sums(table_million):
 B = primes._BLOCK
 
 
-@pytest.mark.parametrize("limit", [B - 1, B, B + 1, 2 * B + 1, 3 * B])
+# Every small limit, where a block may hold no prime power (limit 1), and
+# the edges of the first blocks: 2^16 is a prime power, 65,537 a prime.
+@pytest.mark.parametrize(
+    "limit", sorted({*range(1, 41), B - 1, B, B + 1, 2 * B + 1, 3 * B, 2**16 - 1, 2**16, 2**16 + 1})
+)
 def test_tables_exact_across_block_boundaries(limit):
     t = primes.build_table(limit)
     assert not _exact_sum_mismatches(t)
