@@ -52,7 +52,8 @@ _LCM: list[int] = [1, 1]
 MAX_LIMIT = 90_000_000
 
 # Entries per block of build_table.  With psi sparse, of 2^12..2^18 timed at
-# limits 632,456, 4e6 and 1e7, 2^15 and 2^16 tied within noise; 2^12 was slowest.
+# limits 632,456, 4e6 and 1e7 on a 2-core VM, 2^15 and 2^16 tied within noise;
+# 2^12 was slowest.
 _BLOCK = 1 << 15
 
 
