@@ -37,15 +37,15 @@ LN2 = math.log(2.0)
 # limb totals behind ln((len(_LSF) - 2)!) and _LSF[-1], from which the next
 # block of growth continues.
 _LSF: list[float] = [0.0, 0.0]
-_CARRY = np.zeros((2, 3), dtype=np.int64)
+_CARRY = np.zeros((2, 2), dtype=np.int64)
 
 _LOG_SEAM = 1 << 16  # largest k in _LSF: 2.5 MB, summing to far below the scan's 2^52
 _LOG_BLOCK = 1 << 12  # entries added per step of table growth
 _HALF_LN_2PI = 0.91893853320467274178  # ln(2 pi) / 2
 _ZETA_M1 = -0.16542114370045092921  # zeta'(-1)
 
-_LIMB = 26
-_MASK = (1 << _LIMB) - 1
+_LOW = 43  # bits of the low limb
+_SCAN_LEN = (1 << 20) - 1  # values per cumsum: with the carry, 2^20 lows < 2^43 sum below 2^63
 
 
 def _exact_prefix_sum(
@@ -53,44 +53,40 @@ def _exact_prefix_sum(
 ) -> None:
     """Continue an inclusive prefix sum of nonnegative multiples of 2^-53.
 
-    ``values * 2^53`` is split exactly into a top limb (multiples of 2^52)
-    and two 26-bit limbs, each summed in int64 with carries propagated.
-    ``carry`` holds the running total before ``values`` as int64 limbs
-    (top, mid, low) of total * 2^53; it is advanced in place to the total
-    after them, so consecutive blocks sum as one array.  Each sum is a + b,
-    a = top * 2^52 and b < 2^52 both exact floats, so hi = fl(a + b) is
-    correctly rounded and lo = b - (hi - a), when asked for, is its exact
-    tail (fast two-sum: a = 0 or a > b).  Exact for totals below 2^52.
-    ``hi`` may be ``values`` itself.  An empty ``values`` changes nothing.
+    ``values * 2^53`` is split exactly into two int64 limbs, top * 2^43 + low
+    with low < 2^43, each summed by one ``cumsum``.  ``carry`` holds the
+    running total before ``values`` as the limbs (top, low) of total * 2^53;
+    it is added to the first value and advanced in place to the total after
+    the last, so consecutive calls sum as one array.  Each sum is a + b,
+    a = (top >> 9) * 2^52 and b = ((top & 511) << 43) | low < 2^52 both exact
+    floats, so hi = fl(a + b) is correctly rounded and lo = b - (hi - a),
+    when asked for, is its exact tail (fast two-sum: a = 0 or a > b).  Exact
+    for totals below 2^52; longer inputs than ``_SCAN_LEN`` are scanned in
+    parts, so no low-limb sum reaches 2^63.  ``hi`` may be ``values`` itself.
     """
-    if not values.size:
-        return
-    low = values * 2.0  # values * 2^53 = (top + low) * 2^52
-    top = np.trunc(low)
-    low -= top  # exact: the fraction of a nonnegative float is a float
-    low *= 2.0**52
-    top, low = top.astype(np.int64), low.astype(np.int64)
-    mid = low >> _LIMB
-    low &= _MASK
-    for limb, c in zip((top, mid, low), carry.tolist()):
-        np.cumsum(limb, out=limb)
-        limb += c
-    mid += low >> _LIMB
-    low &= _MASK
-    top += mid >> _LIMB
-    mid &= _MASK
-    carry[:] = top[-1], mid[-1], low[-1]
-    mid <<= _LIMB
-    mid |= low
-    b = mid.astype(np.float64)
-    a = top.astype(np.float64)
-    a *= 2.0**52
-    np.add(a, b, out=hi)
-    if lo is not None:
-        a -= hi  # exactly -(hi - a), so lo becomes b - (hi - a)
-        np.add(b, a, out=lo)
-        lo /= 2.0**53
-    hi /= 2.0**53
+    for start in range(0, values.size, _SCAN_LEN):
+        part = slice(start, start + _SCAN_LEN)
+        low = values[part] * 1024.0  # values * 2^53 = (top + low) * 2^43
+        top = np.trunc(low)
+        low -= top  # exact: the fraction of a nonnegative float is a float
+        low *= 2.0**_LOW
+        top, low = top.astype(np.int64), low.astype(np.int64)
+        top[0] += carry[0]
+        low[0] += carry[1]
+        np.cumsum(top, out=top)
+        np.cumsum(low, out=low)
+        top += low >> _LOW
+        low &= (1 << _LOW) - 1
+        carry[:] = top[-1], low[-1]
+        low |= (top & 511) << _LOW
+        b = low.astype(np.float64)
+        a = (top >> 9).astype(np.float64) * 2.0**52
+        np.add(a, b, out=hi[part])
+        if lo is not None:
+            a -= hi[part]  # exactly -(hi - a), so lo becomes b - (hi - a)
+            np.add(b, a, out=lo[part])
+            lo[part] /= 2.0**53
+        hi[part] /= 2.0**53
 
 
 def _grow_log_table(k: int) -> None:
@@ -112,6 +108,13 @@ def _grow_log_table(k: int) -> None:
         _LSF.extend(terms.tolist())
 
 
+def _digits(k: int) -> int:
+    """Digits of |k|, to name k in a message: Python refuses str(k) past 4,300 digits."""
+    k = abs(k)
+    digits = int((k.bit_length() - 1) * math.log10(2.0)) + 1
+    return digits + (k >= 10**digits)
+
+
 def log_superfactorial(k: int) -> float:
     """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G).
 
@@ -129,15 +132,14 @@ def log_superfactorial(k: int) -> float:
             tail = w * (-1.0 / 240.0 + w * (1.0 / 1008.0 - w / 1440.0))
             value = 0.5 * x * x * ln - 0.75 * x * x + x * _HALF_LN_2PI - ln / 12.0 + _ZETA_M1 + tail
             if not math.isfinite(value):
-                # Name k by its digit count: str(k) may be thousands of digits long.
-                digits = int((k.bit_length() - 1) * math.log10(2.0)) + 1
-                digits += k >= 10**digits
                 raise ValueError(
-                    f"log_superfactorial(k) is past the float range for a k of {digits} digits"
+                    f"log_superfactorial(k) is past the float range for a k of {_digits(k)} digits"
                 )
             return value
         if k < 0:
-            raise ValueError(f"log_superfactorial requires k >= 0, got {k}")
+            raise ValueError(
+                f"log_superfactorial requires k >= 0, got a negative k of {_digits(k)} digits"
+            )
         _grow_log_table(k)
     return _LSF[k]
 

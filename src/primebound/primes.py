@@ -11,17 +11,16 @@ The central object is :class:`PrimeTable`, built once per limit:
   multiple of 2^-53, so the integer-limb scan shared with ``exact``'s log
   tables sums them exactly, and psi_cum is each exact sum rounded once,
   which makes it monotone.  Only the prime powers (about 8% of the entries
-  at 6e5) are scanned; every other entry holds the psi of the prime power
-  before it.
+  at 6e5) are scanned, in one call; every other entry holds the psi of the
+  prime power before it, filled in by one ``np.repeat``.
 * ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), summed the same
   way over the *stored* psi floats: hi is correctly rounded and lo the
   exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So the
   stored increment psi_1(m) - psi_1(m-1) equals the stored psi(m)
   exactly, bit for bit, which :func:`psi1_increment` exposes.
 
-Both sums run in one pass over cache-sized blocks, each block continuing
-from the exact limb totals of the one before: psi over the block's prime
-powers, then psi_1 over every stored psi value of the block.
+The psi_1 sum is the only dense scan.  It runs over cache-sized blocks,
+each block continuing from the exact limb totals of the one before.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -51,28 +50,31 @@ _LCM: list[int] = [1, 1]
 # Limb sums are exact while psi_1(limit) < 2^52; psi(m) < 1.03883 m gives psi_1(9e7) < 4.3e15.
 MAX_LIMIT = 90_000_000
 
-# Entries per block of build_table.  With psi sparse, of 2^12..2^18 timed at
-# limits 632,456, 4e6 and 1e7 on a 2-core VM, 2^15 and 2^16 tied within noise;
-# 2^12 was slowest.
+# Entries per block of the psi_1 scan.  Of 2^12..2^18 timed at limits 632,456,
+# 4e6 and 1e7 on a 2-core VM (best of 3 to 9, two sweeps), 2^13..2^15 tied
+# within noise; 2^12 and 2^18 were slowest.
 _BLOCK = 1 << 15
 
 
-def _mangoldt_base(limit: int) -> np.ndarray:
-    """base[m] = p if m = p^k (k >= 1) else 0: primes by a byte sieve, powers marked."""
+def _mangoldt_base(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """base[m] = p if m = p^k (k >= 1) else 0 (primes sieved, powers marked), and its nonzero m."""
     is_p = np.ones(limit + 1, dtype=bool)
     is_p[:2] = False
+    powers, roots = [], []
     for q in range(2, math.isqrt(limit) + 1):
         if is_p[q]:
             is_p[q * q :: q] = False
-    p = np.flatnonzero(is_p)
+            pk = q * q
+            while pk <= limit:
+                powers.append(pk)
+                roots.append(q)
+                pk *= q
+    is_p[powers] = True  # only now: the loop reads is_p[q] as "q is prime"
+    at = np.flatnonzero(is_p)
     base = np.zeros(limit + 1, dtype=np.int64)
-    base[p] = p
-    for q in p[p <= math.isqrt(limit)].tolist():
-        pk = q * q
-        while pk <= limit:
-            base[pk] = q
-            pk *= q
-    return base
+    base[at] = at
+    base[powers] = roots
+    return base, at
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,23 +106,18 @@ def build_table(limit: int) -> PrimeTable:
     """Sieve and accumulate all tables up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
     if not 1 <= limit <= MAX_LIMIT:
         raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {limit}")
-    base = _mangoldt_base(limit)
-    psi_cum, psi1_hi, psi1_lo = (np.empty(limit + 1) for _ in range(3))
-    psi_carry, psi1_carry = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    base, at = _mangoldt_base(limit)
+    # psi steps only at prime powers: sum Lambda there once, hold each sum to the next.
+    lam = np.log(base[at].astype(np.float64))
+    _exact_prefix_sum(lam, np.zeros(2, dtype=np.int64), lam)
+    psi_cum = np.repeat(np.concatenate(([0.0], lam)), np.diff(at, prepend=0, append=limit + 1))
+    del at, lam  # before the dense psi_1 arrays, so the peak holds four arrays
+    psi1_hi, psi1_lo = np.empty(limit + 1), np.empty(limit + 1)
+    carry = np.zeros(2, dtype=np.int64)
+    # psi_1 is the exact running sum of the *stored* psi values, not of exact psi.
     for start in range(0, limit + 1, _BLOCK):
         block = slice(start, start + _BLOCK)
-        # psi steps only at prime powers: sum Lambda there, then hold each
-        # value until the next step (psi is nondecreasing, so a running max).
-        at = np.flatnonzero(base[block])
-        lam = np.log(base[block][at].astype(np.float64))
-        _exact_prefix_sum(lam, psi_carry, lam)
-        psi = psi_cum[block]
-        psi.fill(psi_cum[start - 1] if start else 0.0)
-        psi[at] = lam
-        np.maximum.accumulate(psi, out=psi)
-        # The tail of psi is dropped, so psi_1 is the exact running sum of the
-        # *stored* psi values.
-        _exact_prefix_sum(psi, psi1_carry, psi1_hi[block], psi1_lo[block])
+        _exact_prefix_sum(psi_cum[block], carry, psi1_hi[block], psi1_lo[block])
     for arr in (base, psi_cum, psi1_hi, psi1_lo):
         arr.setflags(write=False)
     return PrimeTable(

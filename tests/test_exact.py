@@ -153,8 +153,11 @@ def test_log_superfactorial_matches_exact_product():
 
 
 def test_log_superfactorial_rejects_negative():
-    with pytest.raises(ValueError):
-        exact.log_superfactorial(-1)
+    # The message names k by its digit count: Python refuses str(k) for a k
+    # past 4,300 digits, with a ValueError of its own.
+    for k, digits in ((-1, 1), (-(10**5000), 5001)):
+        with pytest.raises(ValueError, match=f"k >= 0, got a negative k of {digits} digits"):
+            exact.log_superfactorial(k)
 
 
 def _no_growth(*args):
@@ -259,27 +262,30 @@ _SCAN_TERMS = st.lists(
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_SCAN_TERMS, st.sets(st.integers(1, 39), max_size=5))
-def test_exact_prefix_sum_matches_python_ints(terms, cuts):
+@given(_SCAN_TERMS, st.sets(st.integers(1, 39), max_size=5), st.integers(1, 41))
+def test_exact_prefix_sum_matches_python_ints(terms, cuts, scan_len):
     # Terms m * 2^(e-53) with a 53-bit m cover the floats below 2^40 that
-    # are nonnegative multiples of 2^-53; blocks share one carry.
+    # are nonnegative multiples of 2^-53; blocks share one carry.  Inside a
+    # call, parts of scan_len values (2^20 - 1 in use) share it too.
     q = 2**53
     ints = [m << e for m, e in terms]
     values = np.array([x / q for x in ints])
     edges = [0, *sorted(c for c in cuts if c < len(ints)), len(ints)]
     blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
     hi, lo, in_place = np.empty_like(values), np.empty_like(values), values.copy()
-    carry, carry_in_place = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
-    for block in blocks:
-        exact._exact_prefix_sum(values[block], carry, hi[block], lo[block])
-        exact._exact_prefix_sum(in_place[block], carry_in_place, in_place[block])
+    carry, carry_in_place = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_SCAN_LEN", scan_len)
+        for block in blocks:
+            exact._exact_prefix_sum(values[block], carry, hi[block], lo[block])
+            exact._exact_prefix_sum(in_place[block], carry_in_place, in_place[block])
     total = 0
     for x, h, l, h2 in zip(ints, hi.tolist(), lo.tolist(), in_place.tolist()):
         total += x
         assert h == h2 == total / q
         assert Fraction(h) + Fraction(l) == Fraction(total, q)
-    top, mid, low = carry.tolist()
-    assert (top << 52) + (mid << 26) + low == total
+    top, low = carry.tolist()
+    assert (top << 43) + low == total
     assert carry.tolist() == carry_in_place.tolist()
 
 
@@ -290,9 +296,9 @@ def test_exact_prefix_sum_empty_part_is_a_no_op(terms, k):
     # whole, bit for bit; the empty scan leaves the carry as it was.
     values = np.array([(m << e) / 2**53 for m, e in terms])
     k = min(k, len(values))
-    whole_hi, whole_lo, whole_carry = np.empty_like(values), np.empty_like(values), np.zeros(3, np.int64)
+    whole_hi, whole_lo, whole_carry = np.empty_like(values), np.empty_like(values), np.zeros(2, np.int64)
     exact._exact_prefix_sum(values, whole_carry, whole_hi, whole_lo)
-    hi, lo, carry = np.empty_like(values), np.empty_like(values), np.zeros(3, np.int64)
+    hi, lo, carry = np.empty_like(values), np.empty_like(values), np.zeros(2, np.int64)
     for part in (slice(0, k), slice(k, k), slice(k, None)):
         before = carry.copy()
         exact._exact_prefix_sum(values[part], carry, hi[part], lo[part])

@@ -8,6 +8,7 @@ reconstruction for the stored-increment identity.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ def test_mangoldt_matches_trial_division(table_million):
 
 def test_mangoldt_base_matches_bytearray_sieve(table_million):
     assert table_million.mangoldt_base.tolist() == _bytearray_mangoldt_base(1_000_000)
+    # The bases at a smaller limit are a prefix of these, and the positions
+    # returned beside them are those of the prime powers.
+    for limit in (*range(1, 41), B - 1, B + 1, 1_000_000):
+        base, at = primes._mangoldt_base(limit)
+        assert base.tolist() == table_million.mangoldt_base[: limit + 1].tolist(), limit
+        assert at.tolist() == np.flatnonzero(base).tolist(), limit
 
 
 def test_mangoldt_validation(table_small):
@@ -260,6 +267,20 @@ def test_tables_exact_across_block_boundaries(limit):
         for m in (k * B - 1, k * B, k * B + 1):
             if m <= limit:
                 assert primes.psi1_increment(t, m) == primes.psi(t, m), m
+
+
+def test_build_table_peak_memory_is_its_four_arrays():
+    # The sparse psi arrays are dropped before the psi_1 arrays are written,
+    # and psi_1 is scanned a block at a time, so the peak is the table plus
+    # block-sized temporaries.  A dense temporary left alive (8 MB here) fails.
+    tracemalloc.start()
+    try:
+        t = primes.build_table(1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (t.mangoldt_base, t.psi_cum, t.psi1_hi, t.psi1_lo))
+    assert peak <= arrays + 2 * 2**20, (peak, arrays)
 
 
 @pytest.mark.slow
