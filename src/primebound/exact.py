@@ -61,8 +61,8 @@ def _exact_prefix_sum(
     a = (top >> 9) * 2^52 and b = ((top & 511) << 43) | low < 2^52 both exact
     floats, so hi = fl(a + b) is correctly rounded and lo = b - (hi - a),
     when asked for, is its exact tail (fast two-sum: a = 0 or a > b).  Exact
-    for totals below 2^52; longer inputs than ``_SCAN_LEN`` are scanned in
-    parts, so no low-limb sum reaches 2^63.  ``hi`` may be ``values`` itself.
+    for totals below 2^52: values go in parts of 2^20 - 1 (``_SCAN_LEN``) per
+    ``cumsum``, so no low-limb sum reaches 2^63.  ``hi`` may be ``values``.
     """
     for start in range(0, values.size, _SCAN_LEN):
         part = slice(start, start + _SCAN_LEN)
