@@ -50,9 +50,13 @@ algebra back to actual integrals.
 Exact linear algebra
 --------------------
 Integer determinants use fraction-free Bareiss elimination (intermediate
-entries are minors, divisions are exact).  A matrix of ints and Fractions
-is cleared to integers row by row, each row once over the lcm of its
-denominators, and only the final ratio is a Fraction again.  Each
+entries are minors, divisions are exact), one loop shared by every
+determinant here.  A matrix of ints and Fractions is cleared to integers
+row by row, each row once over the lcm of its denominators, and only the
+final ratio is a Fraction again.  Run without row swaps, the k-th Bareiss
+pivot is the k-th leading principal minor (Sylvester's identity), and
+H_n is the leading block of H_max_n, so one elimination per (alpha, beta)
+gives det H for every n up to max_n.  Each
 distinct rational is built once: a Hankel matrix has 2n-1 distinct
 entries, a generalized matrix one per offset x_i + j, and a
 partial-fraction sum is one integer sum over a common denominator.  A
@@ -64,7 +68,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,58 +169,72 @@ class SelbergSpec:
 # ----------------------------------------------------------------------
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix, fraction-free.
+def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
+    """Eliminate the integer matrix ``m`` in place, yielding each pivot.
 
     Bareiss elimination: every intermediate entry is a minor of the input
-    (so sizes stay polynomial) and every division is exact.  Row swaps on
-    zero pivots keep the division property, flipping the sign.
+    (so sizes stay polynomial) and every division is exact.  Without row
+    swaps the k-th pivot is the k-th leading principal minor (Sylvester's
+    identity), so the last is the determinant.  With ``swap`` a zero pivot
+    trades places with a lower row and the pivots yielded carry the sign
+    of the swaps so far.  A zero pivot left in place is yielded last.
     """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("bareiss_det requires a nonempty square matrix")
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    n = len(m)
+    sign = prev = 1
+    for k in range(n):
+        if m[k][k] == 0 and swap:
+            r = next((r for r in range(k + 1, n) if m[r][k] != 0), k)
+            if r != k:
+                m[k], m[r], sign = m[r], m[k], -sign
         pivot = m[k][k]
+        yield sign * pivot
+        if pivot == 0:
+            return
+        row_k = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[-1][-1]
+
+
+def _clear_rows(rows: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: (integer rows, the lcms).
+
+    Entries are read through ``numerator`` and ``denominator``, which ints
+    have too, so no entry is converted.
+    """
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    cleared = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
+    return cleared, scales
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, fraction-free.
+
+    The last pivot of :func:`_bareiss_pivots`, with row swaps on zero
+    pivots (each flips the sign, and the division property is kept).
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("bareiss_det requires a nonempty square matrix")
+    return [*_bareiss_pivots([list(r) for r in rows], swap=True)][-1]
 
 
 def fraction_det(rows: list[list[Fraction | int]]) -> Fraction:
     """Exact determinant of a matrix of ints and Fractions, in any mix.
 
-    Each row is cleared to integers over the lcm of its denominators and
-    the integer matrix goes to :func:`bareiss_det`.  Entries are read
-    through ``numerator`` and ``denominator``, which ints have too, so no
-    entry is converted.
+    Each row is cleared to integers over the lcm of its denominators
+    (:func:`_clear_rows`) and the integer matrix goes to
+    :func:`bareiss_det`.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("fraction_det requires a nonempty square matrix")
-    cleared: list[list[int]] = []
-    den = 1
-    for row in rows:
-        scale = math.lcm(*(v.denominator for v in row))
-        cleared.append([v.numerator * (scale // v.denominator) for v in row])
-        den *= scale
-    return Fraction(bareiss_det(cleared), den)
+    cleared, scales = _clear_rows(rows)
+    return Fraction(bareiss_det(cleared), math.prod(scales))
 
 
 def fraction_det_naive(rows: list[list[Fraction]]) -> Fraction:
@@ -272,15 +292,29 @@ def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
     return [moments[i : i + n] for i in range(n)]
 
 
+def hankel_dets(alpha: int, beta: int, max_n: int) -> list[Fraction]:
+    """det H for n = 1..max_n at one (alpha, beta), from one elimination.
+
+    H_n is the leading n x n block of H_max_n, and a moment matrix of a
+    positive measure is positive definite, so Bareiss runs without row
+    swaps and its k-th pivot over the first k row lcms is det H_k.
+    """
+    rows, scales = _clear_rows(hankel_matrix(HankelSpec(alpha, beta, max_n)))
+    dets, den = [], 1
+    for pivot, scale in zip(_bareiss_pivots(rows, swap=False), scales):
+        if pivot == 0:
+            raise RuntimeError(
+                "Hankel beta-moment matrix has a zero leading minor; "
+                "this cannot happen for valid parameters and signals a fault"
+            )
+        den *= scale
+        dets.append(Fraction(pivot, den))
+    return dets
+
+
 def hankel_det(spec: HankelSpec) -> Fraction:
-    """det of the Hankel beta-moment matrix, by exact elimination."""
-    d = fraction_det(hankel_matrix(spec))
-    if d == 0:
-        raise RuntimeError(
-            "Hankel beta-moment matrix eliminated to a zero determinant; "
-            "this cannot happen for valid parameters and signals a fault"
-        )
-    return d
+    """det of the Hankel beta-moment matrix: the last of :func:`hankel_dets`."""
+    return hankel_dets(spec.alpha, spec.beta, spec.n)[-1]
 
 
 def closed_form_det(spec: HankelSpec) -> Fraction:
@@ -316,18 +350,19 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
 
 
 def krattenthaler_matrix(inst: KrattenthalerInstance) -> list[list[int]]:
-    """Matrix with entry (i, j) = prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t)."""
-    n = len(inst.x)
+    """Matrix with entry (i, j) = prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t).
+
+    Row i is the prefix products of X_i+B_t, each times the matching
+    suffix product of X_i+A_t, so a row costs O(n) multiplications, not
+    O(n^2).
+    """
     rows = []
     for xi in inst.x:
-        row = []
-        for j in range(1, n + 1):
-            v = 1
-            for t in range(2, j + 1):
-                v *= xi + inst.b[t - 2]
-            for t in range(j + 1, n + 1):
-                v *= xi + inst.a[t - 2]
-            row.append(v)
+        row = [*itertools.accumulate([xi + b for b in inst.b], operator.mul, initial=1)]
+        suffix = 1
+        for j in reversed(range(len(inst.a))):
+            suffix *= xi + inst.a[j]
+            row[j] *= suffix
         rows.append(row)
     return rows
 
@@ -530,6 +565,9 @@ def selberg_vs_det(spec: HankelSpec) -> tuple[Fraction, Fraction]:
 
     At gamma = 1 the symmetrised Selberg integrand is the squared
     Vandermonde beta-moment, which is n! times the Hankel determinant.
+    det H comes from :func:`hankel_det`, one elimination of this spec; a
+    sweep over n takes every det H of one (alpha, beta) from a single
+    :func:`hankel_dets` call instead, as the selberg suite does.
     """
     lhs = math.factorial(spec.n) * hankel_det(spec)
     rhs = selberg_rhs_exact(

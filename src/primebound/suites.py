@@ -25,23 +25,38 @@ def _check(name: str, failures: list, cases: int, witness: dict | None = None) -
     return Check(name=name, passed=not failures, cases=cases, witness=w)
 
 
-def suite_identities(max_n: int, max_ab: int, count: int, seed: int) -> list[Check]:
-    """Exact determinant identities: closed forms, the lemma, generalized rows."""
+def _hankel_grid(max_n: int, max_ab: int) -> dict[det.HankelSpec, Fraction]:
+    """det H at every (alpha, beta, n) of the grid, one elimination per (alpha, beta)."""
+    return {
+        det.HankelSpec(alpha, beta, n): d
+        for alpha in range(1, max_ab + 1)
+        for beta in range(1, max_ab + 1)
+        for n, d in enumerate(det.hankel_dets(alpha, beta, max_n), 1)
+    }
+
+
+def suite_identities(
+    max_n: int, max_ab: int, count: int, seed: int, hankel: dict | None = None
+) -> list[Check]:
+    """Exact determinant identities: closed forms, the lemma, generalized rows.
+
+    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab), built here
+    when not given.
+    """
     if min(max_n, max_ab, count) < 1:
         raise ValueError("max_n, max_ab and count must all be >= 1")
     checks: list[Check] = []
     rng = random.Random(seed)
+    hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
 
-    # Hankel determinant == factorial closed form, full grid.  The
-    # eliminated values are kept for the lemma grid below, a subset.
-    hankel: dict[det.HankelSpec, Fraction] = {}
+    # Hankel determinant == factorial closed form, full grid.  The lemma
+    # grid below reads a subset of the same eliminated values.
     failures, cases = [], 0
     for n in range(1, max_n + 1):
         for alpha in range(1, max_ab + 1):
             for beta in range(1, max_ab + 1):
                 spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
                 cases += 1
-                hankel[spec] = det.hankel_det(spec)
                 if hankel[spec] != det.closed_form_det(spec):
                     failures.append({"alpha": alpha, "beta": beta, "n": n})
     checks.append(_check("hankel_det_equals_closed_form", failures, cases))
@@ -166,19 +181,25 @@ def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: i
     return checks
 
 
-def suite_selberg(max_n: int, max_ab: int) -> list[Check]:
-    """Selberg product vs Hankel determinants and vs direct quadrature."""
+def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[Check]:
+    """Selberg product vs Hankel determinants and vs direct quadrature.
+
+    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab), built here
+    when not given; n! det H from it is compared as in
+    :func:`~primebound.determinants.selberg_vs_det`.
+    """
     if min(max_n, max_ab) < 1:
         raise ValueError("max_n and max_ab must be >= 1")
     checks: list[Check] = []
+    hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
 
     failures, cases = [], 0
     for n in range(1, max_n + 1):
         for alpha in range(1, max_ab + 1):
             for beta in range(1, max_ab + 1):
-                lhs, rhs = det.selberg_vs_det(det.HankelSpec(alpha=alpha, beta=beta, n=n))
+                rhs = det.selberg_rhs_exact(det.SelbergSpec(alpha, beta, gamma=1, n=n))
                 cases += 1
-                if lhs != rhs:
+                if math.factorial(n) * hankel[det.HankelSpec(alpha, beta, n)] != rhs:
                     failures.append({"alpha": alpha, "beta": beta, "n": n})
     checks.append(_check("selberg_gamma_one_matches_hankel", failures, cases))
 
@@ -218,7 +239,11 @@ def run_suite(
     count: int = 100,
     seed: int = 0,
 ) -> list[Check]:
-    """Dispatch by suite name; 'all' concatenates every suite."""
+    """Dispatch by suite name; 'all' concatenates every suite.
+
+    'all' eliminates the Hankel grid once and hands it to both suites
+    that read it; nothing is kept past the call.
+    """
     if name == "identities":
         return suite_identities(max_n, max_ab, count, seed)
     if name == "inequalities":
@@ -226,9 +251,10 @@ def run_suite(
     if name == "selberg":
         return suite_selberg(max_n, max_ab)
     if name == "all":
+        hankel = _hankel_grid(max_n, max_ab)
         return (
-            suite_identities(max_n, max_ab, count, seed)
+            suite_identities(max_n, max_ab, count, seed, hankel)
             + suite_inequalities(max_n, max_ab, max_ij, count, seed)
-            + suite_selberg(max_n, max_ab)
+            + suite_selberg(max_n, max_ab, hankel)
         )
     raise ValueError(f"unknown suite {name!r}")

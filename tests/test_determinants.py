@@ -240,6 +240,48 @@ def test_hankel_det_matches_cofactor_oracle_small():
                 assert det.hankel_det(spec) == _cofactor_det(det.hankel_matrix(spec))
 
 
+def test_hankel_dets_are_every_leading_minor():
+    # One elimination of H_N gives det H_n for every n <= N; each is
+    # checked against the factorial product, which no elimination touches.
+    for alpha in range(1, 9):
+        for beta in range(1, 9):
+            for big_n in range(1, 11):
+                dets = det.hankel_dets(alpha, beta, big_n)
+                assert len(dets) == big_n
+                for n, d in enumerate(dets, 1):
+                    assert type(d) is Fraction
+                    assert d == det.closed_form_det(det.HankelSpec(alpha, beta, n))
+
+
+def test_hankel_dets_match_cofactor_oracle_small():
+    for alpha in range(1, 5):
+        for beta in range(1, 5):
+            dets = det.hankel_dets(alpha, beta, 4)
+            for n in range(1, 5):
+                m = det.hankel_matrix(det.HankelSpec(alpha, beta, n))
+                assert dets[n - 1] == _cofactor_det(m)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Leading 2 x 2 block singular, the whole matrix not (det -3).
+        [[1, 1, 2], [1, 1, 3], [2, 5, 1]],
+        # Zero first pivot; a row swap would give det -1.
+        [[0, 1], [1, 0]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+    ],
+)
+def test_hankel_dets_refuse_a_zero_leading_minor(monkeypatch, rows):
+    # Without row swaps the pivots are only minors while none is zero, so
+    # a singular leading block must raise, not return a wrong minor.
+    monkeypatch.setattr(det, "hankel_matrix", lambda spec: [r[:] for r in rows])
+    with pytest.raises(RuntimeError, match="zero leading minor"):
+        det.hankel_dets(1, 1, len(rows))
+    with pytest.raises(RuntimeError, match="zero leading minor"):
+        det.hankel_det(det.HankelSpec(1, 1, len(rows)))
+
+
 # ----------------------------------------------------------------------
 # partial fractions
 # ----------------------------------------------------------------------
@@ -308,6 +350,37 @@ def test_lemma_random_instances():
         assert all(-50 <= v <= 50 for v in inst.x + inst.a + inst.b)
         lhs, rhs = det.krattenthaler_sides(inst)
         assert lhs == rhs
+
+
+def _krattenthaler_entrywise(inst):
+    """The lemma matrix entry by entry, each an O(n) product."""
+    n = len(inst.x)
+    rows = []
+    for xi in inst.x:
+        row = []
+        for j in range(1, n + 1):
+            v = 1
+            for t in range(2, j + 1):
+                v *= xi + inst.b[t - 2]
+            for t in range(j + 1, n + 1):
+                v *= xi + inst.a[t - 2]
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+@_PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_krattenthaler_matrix_matches_entrywise_products(seed, max_n):
+    inst = det.random_krattenthaler(random.Random(seed), max_n=max_n)
+    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
+
+
+@_PROPERTY
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 12))
+def test_specialised_lemma_matrix_matches_entrywise_products(n, alpha, beta):
+    inst = det.specialize_to_hankel(det.HankelSpec(alpha, beta, n))
+    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
 
 
 def test_specialization_fixtures():
