@@ -112,8 +112,8 @@ def log_delta(params: BoundParams) -> float:
 
 def f_coeff(s: float) -> float:
     """f(s) = lim (1/n^2) ln Delta_n(s); strictly negative on (0, 1]."""
-    if s <= 0.0:
-        raise ValueError(f"f_coeff requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"f_coeff requires finite s > 0, got {s}")
     t = 2.0 * s + 1.0
     u = s + 1.0
     return (

@@ -56,16 +56,17 @@ row by row, each row once over the lcm of its denominators, and only the
 final ratio is a Fraction again.  Run without row swaps, the k-th Bareiss
 pivot is the k-th leading principal minor (Sylvester's identity), and
 H_n is the leading block of H_max_n, so one elimination per (alpha, beta)
-gives det H for every n up to max_n.  Each
-distinct rational is built once: a Hankel matrix has 2n-1 distinct
-entries, a generalized matrix one per offset x_i + j, and a
-partial-fraction sum is one integer sum over a common denominator.  A
-naive Fraction Gaussian elimination is kept as an independent
-cross-check, not as a fast path.
+gives det H for every n up to max_n.  Every moment (beta-1)!/(x)_beta
+comes from :func:`beta_moment`, and each distinct rational is built
+once: a Hankel matrix has 2n-1 distinct entries, a generalized matrix one
+per offset x_i + j, and a partial-fraction sum is one integer sum over a
+common denominator.  A naive Fraction Gaussian elimination is kept as an
+independent cross-check, not as a fast path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -269,14 +270,16 @@ def fraction_det_naive(rows: list[list[Fraction]]) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def beta_moment(x: int, beta: int) -> Fraction:
+    """(beta-1)! / (x)_beta = B(x, beta), the moment behind every entry here."""
+    return Fraction(math.factorial(beta - 1), pochhammer(x, beta))
+
+
 def hankel_entry(spec: HankelSpec, i: int, j: int) -> Fraction:
     """Entry (beta-1)! / (alpha+i+j-2)_beta at position (i, j), 1-based."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise ValueError(f"entry index ({i}, {j}) outside 1..{spec.n}")
-    return Fraction(
-        math.factorial(spec.beta - 1),
-        pochhammer(spec.alpha + i + j - 2, spec.beta),
-    )
+    return beta_moment(spec.alpha + i + j - 2, spec.beta)
 
 
 def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
@@ -286,9 +289,8 @@ def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
     m_k = (beta-1)! / (alpha+k)_beta, k < 2n-1, row i (0-based) is
     m_i .. m_{i+n-1}.  :func:`hankel_entry` is the per-entry definition.
     """
-    a, b, n = spec.alpha, spec.beta, spec.n
-    top = math.factorial(b - 1)
-    moments = [Fraction(top, pochhammer(a + k, b)) for k in range(2 * n - 1)]
+    n = spec.n
+    moments = [beta_moment(spec.alpha + k, spec.beta) for k in range(2 * n - 1)]
     return [moments[i : i + n] for i in range(n)]
 
 
@@ -439,8 +441,7 @@ def basic_integrality(alpha: int, beta: int, i: int, j: int) -> IntegralityWitne
         raise ValueError(f"all of alpha, beta, i, j must be >= 1, got {(alpha, beta, i, j)}")
     cutoff = alpha + beta + i + j - 1
     d = lcm_upto(cutoff)
-    entry = Fraction(math.factorial(beta - 1), pochhammer(alpha + i + j - 2, beta))
-    return IntegralityWitness(cutoff=cutoff, d=d, scaled=d * entry)
+    return IntegralityWitness(cutoff=cutoff, d=d, scaled=d * beta_moment(alpha + i + j - 2, beta))
 
 
 def improved_product(spec: HankelSpec) -> Fraction:
@@ -463,13 +464,8 @@ def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
     rhs = :func:`generalized_rhs`, the closed form.  Entry (i, j) depends
     on x_i + j only, so each distinct offset is built once.
     """
-    xs, b = spec.xs, spec.beta
-    n = len(xs)
-    top = math.factorial(b - 1)
-    entry = {
-        k: Fraction(top, pochhammer(k + 1, b))
-        for k in {x + j for x in xs for j in range(1, n + 1)}
-    }
+    xs, n = spec.xs, len(spec.xs)
+    entry = {k: beta_moment(k + 1, spec.beta) for k in {x + j for x in xs for j in range(1, n + 1)}}
     matrix = [[entry[x + j] for j in range(1, n + 1)] for x in xs]
     return fraction_det(matrix), generalized_rhs(spec)
 
@@ -576,15 +572,11 @@ def selberg_vs_det(spec: HankelSpec) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _unit_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped from [-1, 1] to [0, 1]."""
-    if k not in _LEGENDRE_CACHE:
-        t, w = np.polynomial.legendre.leggauss(k)
-        _LEGENDRE_CACHE[k] = ((t + 1.0) / 2.0, w / 2.0)
-    return _LEGENDRE_CACHE[k]
+    t, w = np.polynomial.legendre.leggauss(k)
+    return (t + 1.0) / 2.0, w / 2.0
 
 
 def quadrature_oracle(spec: SelbergSpec) -> float:

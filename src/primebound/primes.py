@@ -141,12 +141,20 @@ def _check_range(table: PrimeTable, x: float, lo: float) -> int:
     return int(math.floor(x))
 
 
+def _integer_index(table: PrimeTable, m: int, name: str) -> int:
+    """m as an index 1 <= m <= limit; a non-integer, nan or infinite m is a ValueError."""
+    try:
+        idx = int(m)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} requires an integer, got {m}") from None
+    if m != idx:
+        raise ValueError(f"{name} requires an integer, got {m}")
+    return _check_range(table, idx, 1)
+
+
 def mangoldt(table: PrimeTable, m: int) -> int | None:
     """The prime p with m = p^k, or None when Lambda(m) = 0.  1 <= m <= limit."""
-    if m != int(m):
-        raise ValueError(f"mangoldt requires an integer, got {m}")
-    idx = _check_range(table, int(m), 1)
-    p = int(table.mangoldt_base[idx])
+    p = int(table.mangoldt_base[_integer_index(table, m, "mangoldt")])
     return p if p else None
 
 
@@ -161,24 +169,17 @@ def psi1(table: PrimeTable, x: float) -> float:
 
 
 def psi1_increment(table: PrimeTable, m: int) -> float:
-    """psi_1(m) - psi_1(m-1) evaluated exactly in the stored (hi, lo) pairs.
+    """psi_1(m) - psi_1(m-1) from the stored (hi, lo) pairs, rounded once.
 
-    By construction this equals the stored psi(m) bit for bit; it exists
-    so that consumers (and tests) can witness the identity without
-    re-deriving the accumulation scheme.  Requires 1 <= m <= limit.
+    hi + lo is each exact psi_1 sum, and ``math.fsum`` rounds the exact
+    difference of the four limbs once, so this equals the stored psi(m)
+    bit for bit; it exists so that consumers (and tests) can witness the
+    identity without re-deriving the accumulation scheme.  Requires
+    1 <= m <= limit.
     """
-    if m != int(m):
-        raise ValueError(f"psi1_increment requires an integer, got {m}")
-    idx = _check_range(table, int(m), 1)
-    hi = table.psi1_hi
-    lo = table.psi1_lo
-    a, b = float(hi[idx]), -float(hi[idx - 1])
-    # Knuth two-sum: s + e == a + b exactly.
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    e += float(lo[idx]) - float(lo[idx - 1])
-    return s + e
+    idx = _integer_index(table, m, "psi1_increment")
+    hi, lo = table.psi1_hi, table.psi1_lo
+    return math.fsum((hi[idx], -hi[idx - 1], lo[idx], -lo[idx - 1]))
 
 
 # ----------------------------------------------------------------------

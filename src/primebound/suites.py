@@ -3,32 +3,61 @@
 Each suite function walks a parameter grid (plus seeded random instances
 where the contract calls for them), verifies every case exactly, and
 returns :class:`~primebound.report.Check` rows with enough witness data
-to reproduce any failure.  Suites never raise on a mathematical failure
+to reproduce any failure.  A check is a stream of (values, ok) pairs,
+one per case, handed to :func:`_check`, which counts the cases and names
+the first three failures by their parameters.  The (alpha, beta, n) grid
+is walked by :func:`_specs` alone, so every check over it reports its
+failures in the same order.  Suites never raise on a mathematical failure
 — they record it — but they do raise on invalid arguments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import determinants as det
-from .exact import pochhammer
 from .report import Check
 
+_ABN = ("alpha", "beta", "n")
 
-def _check(name: str, failures: list, cases: int, witness: dict | None = None) -> Check:
+
+def _check(
+    name: str,
+    keys: tuple[str, ...],
+    outcomes: Iterable[tuple[tuple, bool]],
+    witness: dict | None = None,
+) -> Check:
+    """One report row: each (values, ok) of ``outcomes`` is a case.
+
+    A failing case is named by ``dict(zip(keys, values))``; the first
+    three, in stream order, go into the witness after ``witness``'s keys.
+    """
+    failures, cases = [], 0
+    for values, ok in outcomes:
+        cases += 1
+        if not ok:
+            failures.append(dict(zip(keys, values)))
     w = dict(witness or {})
     if failures:
         w["first_failures"] = failures[:3]
     return Check(name=name, passed=not failures, cases=cases, witness=w)
 
 
-def _hankel_grid(max_n: int, max_ab: int) -> dict[det.HankelSpec, Fraction]:
+def _specs(max_n: int, max_ab: int) -> Iterator[tuple[int, int, int]]:
+    """(alpha, beta, n) over the grid: n outermost, then alpha, then beta."""
+    ab = range(1, max_ab + 1)
+    return ((a, b, n) for n, a, b in itertools.product(range(1, max_n + 1), ab, ab))
+
+
+def _hankel_grid(max_n: int, max_ab: int) -> dict[tuple[int, int, int], Fraction]:
     """det H at every (alpha, beta, n) of the grid, one elimination per (alpha, beta)."""
     return {
-        det.HankelSpec(alpha, beta, n): d
+        (alpha, beta, n): d
         for alpha in range(1, max_ab + 1)
         for beta in range(1, max_ab + 1)
         for n, d in enumerate(det.hankel_dets(alpha, beta, max_n), 1)
@@ -45,140 +74,80 @@ def suite_identities(
     """
     if min(max_n, max_ab, count) < 1:
         raise ValueError("max_n, max_ab and count must all be >= 1")
-    checks: list[Check] = []
     rng = random.Random(seed)
     hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
 
-    # Hankel determinant == factorial closed form, full grid.  The lemma
-    # grid below reads a subset of the same eliminated values.
-    failures, cases = [], 0
-    for n in range(1, max_n + 1):
-        for alpha in range(1, max_ab + 1):
-            for beta in range(1, max_ab + 1):
-                spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
-                cases += 1
-                if hankel[spec] != det.closed_form_det(spec):
-                    failures.append({"alpha": alpha, "beta": beta, "n": n})
-    checks.append(_check("hankel_det_equals_closed_form", failures, cases))
+    def lemma_cases() -> Iterator[tuple[tuple, bool]]:
+        # The specialised lemma reproduces det H via the explicit row
+        # scaling; the scale is computed only when the lemma holds.
+        for v in _specs(min(max_n, 8), min(max_ab, 6)):
+            spec = det.HankelSpec(*v)
+            lhs, rhs = det.krattenthaler_sides(det.specialize_to_hankel(spec))
+            yield v, lhs == rhs == hankel[v] * det.specialization_scale(spec)
 
-    # Entries recovered by partial fractions (the lcm mechanism's engine).
-    failures, cases = [], 0
-    for alpha in range(1, max_ab + 1):
-        for beta in range(1, max_ab + 1):
-            for m in range(2, 2 * max_n + 2):
-                cases += 1
-                direct = Fraction(
-                    math.factorial(beta - 1), pochhammer(alpha + m - 2, beta)
-                )
-                if det.partial_fraction_sum(alpha, beta, m) != direct:
-                    failures.append({"alpha": alpha, "beta": beta, "m": m})
-    checks.append(_check("partial_fraction_expands_entry", failures, cases))
-
-    # Polynomial determinant lemma on seeded random integer instances.
-    failures = []
-    for _ in range(count):
-        inst = det.random_krattenthaler(rng)
-        lhs, rhs = det.krattenthaler_sides(inst)
-        if lhs != rhs:
-            failures.append({"x": inst.x, "a": inst.a, "b": inst.b})
-    checks.append(
-        _check("determinant_lemma_random", failures, count, {"seed": seed})
-    )
-
-    # Lemma specialisation reproduces the Hankel determinant via the
-    # explicit row scaling.
-    failures, cases = [], 0
-    for n in range(1, min(max_n, 8) + 1):
-        for alpha in range(1, min(max_ab, 6) + 1):
-            for beta in range(1, min(max_ab, 6) + 1):
-                spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
-                inst = det.specialize_to_hankel(spec)
-                lhs, rhs = det.krattenthaler_sides(inst)
-                cases += 1
-                ok = (
-                    lhs == rhs
-                    and Fraction(lhs) == hankel[spec] * det.specialization_scale(spec)
-                )
-                if not ok:
-                    failures.append({"alpha": alpha, "beta": beta, "n": n})
-    checks.append(_check("lemma_specialises_to_hankel", failures, cases))
-
-    # Generalized (non-consecutive indices) identity on random specs.
-    failures = []
-    for _ in range(count):
-        spec = det.random_generalized(rng)
-        lhs, rhs = det.generalized_sides(spec)
-        if lhs != rhs:
-            failures.append({"xs": spec.xs, "beta": spec.beta})
-    checks.append(
-        _check("generalized_identity_random", failures, count, {"seed": seed})
-    )
-
-    # Consecutive indices x_i = i-1 collapse to the alpha = 2 Hankel case.
-    failures, cases = [], 0
-    for n in range(1, min(max_n, 6) + 1):
-        for beta in range(1, min(max_ab, 5) + 1):
-            spec = det.consecutive_spec(n, beta)
-            lhs, _ = det.generalized_sides(spec)
-            cases += 1
-            if lhs != det.closed_form_det(det.HankelSpec(alpha=2, beta=beta, n=n)):
-                failures.append({"n": n, "beta": beta})
-    checks.append(_check("consecutive_indices_match_hankel", failures, cases))
-
-    return checks
+    # The random instances are drawn lazily, as each check consumes them.
+    krattenthaler = (det.random_krattenthaler(rng) for _ in range(count))
+    generalized = (det.random_generalized(rng) for _ in range(count))
+    ab = range(1, max_ab + 1)
+    return [
+        # Hankel determinant == factorial closed form, full grid.
+        _check("hankel_det_equals_closed_form", _ABN, (
+            (v, hankel[v] == det.closed_form_det(det.HankelSpec(*v)))
+            for v in _specs(max_n, max_ab)
+        )),
+        # Entries recovered by partial fractions (the lcm mechanism's engine).
+        _check("partial_fraction_expands_entry", ("alpha", "beta", "m"), (
+            ((a, b, m), det.beta_moment(a + m - 2, b) == det.partial_fraction_sum(a, b, m))
+            for a, b, m in itertools.product(ab, ab, range(2, 2 * max_n + 2))
+        )),
+        # Polynomial determinant lemma on seeded random integer instances.
+        _check("determinant_lemma_random", ("x", "a", "b"), (
+            ((i.x, i.a, i.b), operator.eq(*det.krattenthaler_sides(i))) for i in krattenthaler
+        ), {"seed": seed}),
+        _check("lemma_specialises_to_hankel", _ABN, lemma_cases()),
+        # Generalized (non-consecutive indices) identity on random specs.
+        _check("generalized_identity_random", ("xs", "beta"), (
+            ((s.xs, s.beta), operator.eq(*det.generalized_sides(s))) for s in generalized
+        ), {"seed": seed}),
+        # Consecutive indices x_i = i-1 collapse to the alpha = 2 Hankel case.
+        _check("consecutive_indices_match_hankel", ("n", "beta"), (
+            ((n, b), det.generalized_sides(det.consecutive_spec(n, b))[0]
+             == det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n)))
+            for n, b in itertools.product(range(1, min(max_n, 6) + 1), range(1, min(max_ab, 5) + 1))
+        )),
+    ]
 
 
 def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: int) -> list[Check]:
     """lcm integrality: scaled entries are integers >= 1, products are >= 1."""
     if min(max_n, max_ab, max_ij, count) < 1:
         raise ValueError("max_n, max_ab, max_ij and count must all be >= 1")
-    checks: list[Check] = []
     rng = random.Random(seed)
 
-    failures, cases = [], 0
-    for alpha in range(1, max_ab + 1):
-        for beta in range(1, max_ab + 1):
-            for i in range(1, max_ij + 1):
-                for j in range(1, max_ij + 1):
-                    w = det.basic_integrality(alpha, beta, i, j)
-                    cases += 1
-                    if w.scaled.denominator != 1 or w.scaled < 1:
-                        failures.append(
-                            {"alpha": alpha, "beta": beta, "i": i, "j": j}
-                        )
-    checks.append(_check("lcm_times_entry_is_positive_integer", failures, cases))
+    def entry_cases() -> Iterator[tuple[tuple, bool]]:
+        ab, ij = range(1, max_ab + 1), range(1, max_ij + 1)
+        for v in itertools.product(ab, ab, ij, ij):
+            scaled = det.basic_integrality(*v).scaled
+            yield v, scaled.denominator == 1 and scaled >= 1
 
-    failures, cases, equalities = [], 0, 0
-    for n in range(1, max_n + 1):
-        for alpha in range(1, max_ab + 1):
-            for beta in range(1, max_ab + 1):
-                spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
-                v = det.improved_product(spec)
-                cases += 1
-                if v < 1:
-                    failures.append({"alpha": alpha, "beta": beta, "n": n})
-                elif v == 1:
-                    equalities += 1
-    checks.append(
+    # Every entry is checked before the first improved product is built.
+    entries = _check(
+        "lcm_times_entry_is_positive_integer", ("alpha", "beta", "i", "j"), entry_cases()
+    )
+    products = [(v, det.improved_product(det.HankelSpec(*v))) for v in _specs(max_n, max_ab)]
+    generalized = (det.random_generalized(rng) for _ in range(count))
+    return [
+        entries,
         _check(
             "improved_product_at_least_one",
-            failures,
-            cases,
-            {"equality_cases": equalities},
-        )
-    )
-
-    failures = []
-    for _ in range(count):
-        spec = det.random_generalized(rng)
-        v = det.generalized_inequality(spec)
-        if v < 1:
-            failures.append({"xs": spec.xs, "beta": spec.beta})
-    checks.append(
-        _check("generalized_inequality_at_least_one", failures, count, {"seed": seed})
-    )
-
-    return checks
+            _ABN,
+            ((v, p >= 1) for v, p in products),
+            {"equality_cases": sum(p == 1 for _, p in products)},
+        ),
+        _check("generalized_inequality_at_least_one", ("xs", "beta"), (
+            ((s.xs, s.beta), det.generalized_inequality(s) >= 1) for s in generalized
+        ), {"seed": seed}),
+    ]
 
 
 def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[Check]:
@@ -190,45 +159,27 @@ def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[C
     """
     if min(max_n, max_ab) < 1:
         raise ValueError("max_n and max_ab must be >= 1")
-    checks: list[Check] = []
     hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
+    gamma_one = _check("selberg_gamma_one_matches_hankel", _ABN, (
+        ((a, b, n), det.selberg_rhs_exact(det.SelbergSpec(a, b, gamma=1, n=n))
+         == math.factorial(n) * hankel[a, b, n])
+        for a, b, n in _specs(max_n, max_ab)
+    ))
 
-    failures, cases = [], 0
-    for n in range(1, max_n + 1):
-        for alpha in range(1, max_ab + 1):
-            for beta in range(1, max_ab + 1):
-                rhs = det.selberg_rhs_exact(det.SelbergSpec(alpha, beta, gamma=1, n=n))
-                cases += 1
-                if math.factorial(n) * hankel[det.HankelSpec(alpha, beta, n)] != rhs:
-                    failures.append({"alpha": alpha, "beta": beta, "n": n})
-    checks.append(_check("selberg_gamma_one_matches_hankel", failures, cases))
-
-    failures, cases, worst = [], 0, 0.0
-    for n in (1, 2):
-        for gamma in range(1, 4):
-            for alpha in range(1, min(max_ab, 4) + 1):
-                for beta in range(1, min(max_ab, 4) + 1):
-                    spec = det.SelbergSpec(alpha=alpha, beta=beta, gamma=gamma, n=n)
-                    exact = float(det.selberg_rhs_exact(spec))
-                    quad = det.quadrature_oracle(spec)
-                    lg = det.selberg_rhs(spec)
-                    cases += 1
-                    err = max(abs(quad - exact), abs(lg - exact))
-                    worst = max(worst, err / exact)
-                    if err > 1e-8 * max(1.0, exact):
-                        failures.append(
-                            {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
-                        )
-    checks.append(
-        _check(
-            "quadrature_matches_product",
-            failures,
-            cases,
-            {"worst_rel_err": worst},
-        )
+    ab = range(1, min(max_ab, 4) + 1)
+    errors = []
+    for n, gamma, alpha, beta in itertools.product((1, 2), range(1, 4), ab, ab):
+        spec = det.SelbergSpec(alpha=alpha, beta=beta, gamma=gamma, n=n)
+        exact = float(det.selberg_rhs_exact(spec))
+        quad, lg = det.quadrature_oracle(spec), det.selberg_rhs(spec)
+        errors.append(((alpha, beta, gamma, n), exact, max(abs(quad - exact), abs(lg - exact))))
+    quadrature = _check(
+        "quadrature_matches_product",
+        ("alpha", "beta", "gamma", "n"),
+        ((v, err <= 1e-8 * max(1.0, exact)) for v, exact, err in errors),
+        {"worst_rel_err": max([0.0] + [err / exact for _, exact, err in errors])},
     )
-
-    return checks
+    return [gamma_one, quadrature]
 
 
 def run_suite(

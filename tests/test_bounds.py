@@ -195,6 +195,9 @@ def test_f_coeff_validation():
         bounds.f_coeff(0.0)
     with pytest.raises(ValueError):
         bounds.f_coeff(-0.3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            bounds.f_coeff(bad)
 
 
 def test_chain_constant_signs_on_unit_interval():

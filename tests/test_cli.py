@@ -460,6 +460,13 @@ def test_verify_matches_golden(capsys):
     assert normalized_json(out) == golden
 
 
+def test_verify_all_at_defaults_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "all", "--format", "json"])
+    assert code == 0
+    golden = (GOLDEN_DIR / "verify_all.json").read_text()
+    assert normalized_json(out) == golden
+
+
 def test_optimize_matches_golden(capsys):
     code, out, _ = run_cli(capsys, ["optimize", "--format", "json"])
     assert code == 0

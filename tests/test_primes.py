@@ -146,6 +146,9 @@ def test_mangoldt_validation(table_small):
         primes.mangoldt(table_small, 2001)
     with pytest.raises(ValueError):
         primes.mangoldt(table_small, 8.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            primes.mangoldt(table_small, bad)
 
 
 def test_table_arrays_are_frozen(table_small):
@@ -293,6 +296,9 @@ def test_psi1_increment_validation(table_small):
         primes.psi1_increment(table_small, 0)
     with pytest.raises(ValueError):
         primes.psi1_increment(table_small, 2001)
+    for bad in (math.inf, -math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError):
+            primes.psi1_increment(table_small, bad)
 
 
 # ----------------------------------------------------------------------

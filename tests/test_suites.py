@@ -6,6 +6,9 @@ pin that its report is the concatenation of the suites run alone, and
 that the grid is rebuilt on every call rather than cached.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from primebound import determinants as det
@@ -56,3 +59,122 @@ def test_one_elimination_per_alpha_beta_per_call(monkeypatch, suite, elimination
         else []
     )
     assert single == []
+
+
+# ----------------------------------------------------------------------
+# failure reports: which cases fail, in which order, and how many are kept
+# ----------------------------------------------------------------------
+
+# (function, fails at these arguments, the wrong value it then returns).
+# The predicates are chosen so that each check's first three failures
+# differ under any other walk order of its grid.
+_FAULTS = [
+    ("closed_form_det", lambda s: s.n == 3 or s.alpha == 3 or (s.n, s.beta) == (4, 1),
+     lambda v: v + 1),
+    ("partial_fraction_sum", lambda a, b, m: m % 4 == 0, lambda v: v + 1),
+    ("krattenthaler_sides", lambda inst: len(inst.x) == 3 or inst.b[:1] == (1,),
+     lambda v: (v[0] + 1, v[1])),
+    ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
+    ("basic_integrality", lambda a, b, i, j: i == j == 2 or a == 2,
+     lambda w: dataclasses.replace(w, scaled=w.scaled + Fraction(1, 2))),
+    ("improved_product", lambda s: s.n == 2 or s.beta == 3, lambda v: Fraction(0)),
+    ("generalized_inequality", lambda s: len(s.xs) == 2, lambda v: Fraction(1, 2)),
+    ("selberg_rhs_exact", lambda s: s.gamma == 1 and (s.n == 2 or s.alpha == 3),
+     lambda v: v + 1),
+]
+
+
+def _abn(*triples):
+    return [{"alpha": a, "beta": b, "n": n} for a, b, n in triples]
+
+
+def _abij(*quads):
+    return [{"alpha": a, "beta": b, "i": i, "j": j} for a, b, i, j in quads]
+
+
+_SHARED = {
+    "hankel_det_equals_closed_form": _abn((3, 1, 1), (3, 2, 1), (3, 3, 1)),
+    "lemma_specialises_to_hankel": _abn((2, 1, 2), (2, 2, 2), (2, 3, 2)),
+    "consecutive_indices_match_hankel": [
+        {"n": 3, "beta": 1}, {"n": 3, "beta": 2}, {"n": 3, "beta": 3}
+    ],
+    "lcm_times_entry_is_positive_integer": _abij((1, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 2)),
+    "improved_product_at_least_one": _abn((1, 3, 1), (2, 3, 1), (3, 3, 1)),
+    "selberg_gamma_one_matches_hankel": _abn((3, 1, 1), (3, 2, 1), (3, 3, 1)),
+    "quadrature_matches_product": [
+        {"alpha": 3, "beta": b, "gamma": 1, "n": 1} for b in (1, 2, 3)
+    ],
+}
+
+# (max_n, max_ab, max_ij, count, seed) -> (check name, cases, first_failures)
+_FAULTED_REPORTS = {
+    (4, 3, 3, 20, 0): [
+        ("hankel_det_equals_closed_form", 36, None),
+        ("partial_fraction_expands_entry", 72, [
+            {"alpha": 1, "beta": 1, "m": 4}, {"alpha": 1, "beta": 1, "m": 8},
+            {"alpha": 1, "beta": 2, "m": 4},
+        ]),
+        ("determinant_lemma_random", 20, [
+            {"x": (24, -23, 14), "a": (-33, -14), "b": (-33, 46)},
+            {"x": (18, 40, 27), "a": (-32, -11), "b": (-38, 43)},
+            {"x": (10, 21, -38), "a": (-5, 5), "b": (-10, 28)},
+        ]),
+        ("lemma_specialises_to_hankel", 36, None),
+        ("generalized_identity_random", 20, [
+            {"xs": (11, 25), "beta": 2}, {"xs": (27, 22), "beta": 2}, {"xs": (20,), "beta": 2},
+        ]),
+        ("consecutive_indices_match_hankel", 12, None),
+        ("lcm_times_entry_is_positive_integer", 81, None),
+        ("improved_product_at_least_one", 36, None),
+        ("generalized_inequality_at_least_one", 20, [
+            {"xs": (29, 18), "beta": 2}, {"xs": (25, 30), "beta": 2},
+        ]),
+        ("selberg_gamma_one_matches_hankel", 36, None),
+        ("quadrature_matches_product", 54, None),
+    ],
+    # max_n > 8 and max_ab > 6 also pin the lemma grid's caps (8, 6).
+    (9, 7, 3, 20, 3): [
+        ("hankel_det_equals_closed_form", 441, None),
+        ("partial_fraction_expands_entry", 882, [
+            {"alpha": 1, "beta": 1, "m": 4}, {"alpha": 1, "beta": 1, "m": 8},
+            {"alpha": 1, "beta": 1, "m": 12},
+        ]),
+        ("determinant_lemma_random", 20, [
+            {"x": (28, -17, -31), "a": (38, -45), "b": (-7, -10)},
+            {"x": (-33, -2, -2), "a": (8, 16), "b": (-1, 32)},
+            {"x": (16, -12, 20), "a": (-7, -49), "b": (50, 3)},
+        ]),
+        ("lemma_specialises_to_hankel", 288, None),
+        ("generalized_identity_random", 20, [
+            {"xs": (18,), "beta": 2}, {"xs": (22, 3, 29, 19, 10, 26), "beta": 2},
+            {"xs": (17, 30, 29, 22), "beta": 2},
+        ]),
+        ("consecutive_indices_match_hankel", 30, None),
+        ("lcm_times_entry_is_positive_integer", 441, None),
+        ("improved_product_at_least_one", 441, None),
+        ("generalized_inequality_at_least_one", 20, [
+            {"xs": (18, 17), "beta": 2}, {"xs": (20, 4), "beta": 5}, {"xs": (24, 30), "beta": 5},
+        ]),
+        ("selberg_gamma_one_matches_hankel", 441, None),
+        ("quadrature_matches_product", 96, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", list(_FAULTED_REPORTS))
+def test_failures_are_counted_and_the_first_three_kept_in_grid_order(monkeypatch, grid):
+    for name, bad, wrong in _FAULTS:
+
+        def faulty(*args, real=getattr(det, name), bad=bad, wrong=wrong):
+            return wrong(real(*args)) if bad(*args) else real(*args)
+
+        monkeypatch.setattr(det, name, faulty)
+    max_n, max_ab, max_ij, count, seed = grid
+    got = suites.run_suite("all", max_n=max_n, max_ab=max_ab, max_ij=max_ij, count=count, seed=seed)
+    want = _FAULTED_REPORTS[grid]
+    assert [c.name for c in got] == [name for name, _, _ in want]
+    for check, (name, cases, first) in zip(got, want):
+        first = _SHARED[name] if first is None else first
+        assert (check.passed, check.cases) == (False, cases), name
+        assert check.witness["first_failures"] == first, name
+        assert len(check.witness["first_failures"]) <= 3
