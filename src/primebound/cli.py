@@ -8,6 +8,12 @@ Four subcommands:
                   finite-n convergence gaps) as CSV/JSON/text;
 * ``sieve``     — build a prime table and report summary invariants.
 
+A subcommand only computes: it returns ``(parameters, checks)``, or raises
+``ValueError`` for bad input.  :func:`main` runs every subcommand the same
+way: it owns the clock, turns a ``ValueError`` or ``MemoryError`` into one
+``error:`` line on stderr, renders the report and writes it, and picks the
+exit code.
+
 Exit codes: 0 all checks passed, 1 at least one mathematical check
 failed, 2 usage or resource error (bad arguments, unwritable output).
 Output is deterministic for a fixed command line and seed, except the
@@ -26,14 +32,18 @@ from .exact import log_int
 
 _FORMATS = ("text", "json", "csv")
 
+# Upper bound of each ``verify`` size flag (the lower bound is 1); the cost
+# grows fast in --max-n and --max-ab, see the ``verify`` help text.
+_VERIFY_CAPS = {"max_n": 32, "max_ab": 32, "max_ij": 64, "count": 10_000}
+
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{what}: expected comma-separated integers, got {text!r}")
+        raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError(f"{what}: empty list")
+        raise ValueError(f"{what}: empty list")
     return values
 
 
@@ -49,16 +59,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    pv = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="run a verification suite",
+        description="Run a verification suite. Each size flag is capped; with "
+        "--max-n and --max-ab both at their caps, --suite all takes about 40 s "
+        "and 50 MB.",
+    )
     pv.add_argument(
         "--suite",
         choices=("identities", "inequalities", "selberg", "all"),
         default="all",
     )
-    pv.add_argument("--max-n", type=int, default=8, help="matrix sizes up to this n")
-    pv.add_argument("--max-ab", type=int, default=6, help="alpha, beta up to this value")
-    pv.add_argument("--max-ij", type=int, default=6, help="entry indices up to this value")
-    pv.add_argument("--count", type=int, default=100, help="random instances per randomised check")
+    caps = _VERIFY_CAPS
+    pv.add_argument("--max-n", type=int, default=8,
+                    help=f"matrix sizes up to this n (1..{caps['max_n']})")
+    pv.add_argument("--max-ab", type=int, default=6,
+                    help=f"alpha, beta up to this value (1..{caps['max_ab']})")
+    pv.add_argument("--max-ij", type=int, default=6,
+                    help=f"entry indices up to this value (1..{caps['max_ij']})")
+    pv.add_argument("--count", type=int, default=100,
+                    help=f"random instances per randomised check (1..{caps['count']})")
 
     po = sub.add_parser("optimize", parents=[common], help="maximise the asymptotic constant")
     po.add_argument("--lo", type=float, default=0.01)
@@ -84,64 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path: str | None) -> int:
-    if out_path is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def _cmd_verify(args) -> tuple[dict, list[report.Check]]:
+    sizes = {name: getattr(args, name) for name in _VERIFY_CAPS}
+    for name, cap in _VERIFY_CAPS.items():
+        if not 1 <= sizes[name] <= cap:
+            raise ValueError(f"--{name.replace('_', '-')} must be in [1, {cap}]")
+    checks = suites.run_suite(args.suite, seed=args.seed, **sizes)
+    return {"suite": args.suite, **sizes, "seed": args.seed}, checks
 
 
-def _finish(rep: report.RunReport, fmt: str, out_path: str | None) -> int:
-    rc = _emit(report.render(rep, fmt), out_path)
-    if rc:
-        return rc
-    return 0 if rep.passed else 1
-
-
-def _cmd_verify(args) -> int:
-    for name in ("max_n", "max_ab", "max_ij", "count"):
-        if getattr(args, name) < 1:
-            print(f"error: --{name.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return 2
-    t0 = time.perf_counter()
-    checks = suites.run_suite(
-        args.suite,
-        max_n=args.max_n,
-        max_ab=args.max_ab,
-        max_ij=args.max_ij,
-        count=args.count,
-        seed=args.seed,
-    )
-    rep = report.RunReport(
-        command="verify",
-        parameters={
-            "suite": args.suite,
-            "max_n": args.max_n,
-            "max_ab": args.max_ab,
-            "max_ij": args.max_ij,
-            "count": args.count,
-            "seed": args.seed,
-        },
-        checks=checks,
-        elapsed=(time.perf_counter() - t0) * 1000.0,
-    )
-    return _finish(rep, args.format, args.out)
-
-
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> tuple[dict, list[report.Check]]:
     if not 0.0 < args.lo <= args.hi <= 1.0:
-        print("error: need finite 0 < --lo <= --hi <= 1", file=sys.stderr)
-        return 2
+        raise ValueError("need finite 0 < --lo <= --hi <= 1")
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
-        print("error: need finite --tol > 0", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
+        raise ValueError("need finite --tol > 0")
     res = bounds.optimize_s(args.lo, args.hi, args.tol)
     coeff = bounds.chain_constant(res.s_star)
     checks = [
@@ -158,44 +136,37 @@ def _cmd_optimize(args) -> int:
             },
         )
     ]
-    rep = report.RunReport(
-        command="optimize",
-        parameters={"lo": args.lo, "hi": args.hi, "tol": args.tol, "seed": args.seed},
-        checks=checks,
-        elapsed=(time.perf_counter() - t0) * 1000.0,
-    )
-    return _finish(rep, args.format, args.out)
+    return {"lo": args.lo, "hi": args.hi, "tol": args.tol, "seed": args.seed}, checks
 
 
 def _floor_sn(s: float, n: int, flag: str) -> int:
-    """floor(s n) for a window size n given on the command line."""
+    """floor(s n) for the --s and a window size n given on the command line."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"--s must be in (0, 1], got {s}")
     try:
         return math.floor(s * n)
     except OverflowError:  # s * n is a float; n may have thousands of digits
-        raise argparse.ArgumentTypeError(f"{flag} is too large for a float") from None
+        raise ValueError(f"{flag} is too large for a float") from None
 
 
 def _table_psi1(args) -> tuple[list[str], list[list], bool]:
     xs = _parse_int_list(args.x, "--x")
     if min(xs) < 1:
-        raise argparse.ArgumentTypeError("--x values must be >= 1")
+        raise ValueError("--x values must be >= 1")
     if args.c_star is not None and not math.isfinite(args.c_star):
-        raise argparse.ArgumentTypeError(f"--c-star must be finite, got {args.c_star}")
+        raise ValueError(f"--c-star must be finite, got {args.c_star}")
     table = primes.build_table(max(xs))
     rows_out = []
-    ok = True
     for row in bounds.empirical_table(table, xs, c_star=args.c_star):
         rows_out.append([row.x, row.psi1, row.bound, row.ratio])
-    return ["x", "psi1", "bound", "ratio"], rows_out, ok
+    return ["x", "psi1", "bound", "ratio"], rows_out, True
 
 
 def _table_increments(args) -> tuple[list[str], list[list], bool]:
     if args.n_min < 1 or args.n_max < args.n_min:
-        raise argparse.ArgumentTypeError("need 1 <= --n-min <= --n-max")
-    if not 0.0 < args.s <= 1.0:
-        raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
+        raise ValueError("need 1 <= --n-min <= --n-max")
     if _floor_sn(args.s, args.n_min, "--n-min") < 1:
-        raise argparse.ArgumentTypeError("--n-min too small: floor(s*n) must be >= 1")
+        raise ValueError("--n-min too small: floor(s*n) must be >= 1")
     a_max = _floor_sn(args.s, args.n_max, "--n-max")
     table = primes.build_table(2 * a_max + 2 * args.n_max)
     rows_out = []
@@ -209,10 +180,8 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
 
 def _table_gap(args) -> tuple[list[str], list[list], bool]:
     ns = _parse_int_list(args.n, "--n")
-    if not 0.0 < args.s <= 1.0:
-        raise argparse.ArgumentTypeError(f"--s must be in (0, 1], got {args.s}")
     if any(_floor_sn(args.s, n, "--n") < 1 for n in ns):
-        raise argparse.ArgumentTypeError("every --n must satisfy floor(s*n) >= 1")
+        raise ValueError("every --n must satisfy floor(s*n) >= 1")
     f = bounds.f_coeff(args.s)
     rows_out = []
     for n in ns:
@@ -221,45 +190,22 @@ def _table_gap(args) -> tuple[list[str], list[list], bool]:
     return ["n", "log_delta_over_n2", "f_limit", "gap"], rows_out, True
 
 
-def _cmd_table(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        if args.kind == "psi1":
-            header, rows, ok = _table_psi1(args)
-        elif args.kind == "increments":
-            header, rows, ok = _table_increments(args)
-        else:
-            header, rows, ok = _table_gap(args)
-    except (argparse.ArgumentTypeError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    if args.format == "csv":
-        rc = _emit(report.rows_to_csv(header, rows), args.out)
-        return rc if rc else (0 if ok else 1)
-    rep = report.RunReport(
-        command="table",
-        parameters={"kind": args.kind, "s": args.s, "seed": args.seed},
-        checks=[
-            report.Check(
-                name=f"table_{args.kind}",
-                passed=ok,
-                cases=len(rows),
-                witness={"header": header, "rows": rows},
-            )
-        ],
-        elapsed=elapsed,
+_TABLES = {"psi1": _table_psi1, "increments": _table_increments, "asymptotic-gap": _table_gap}
+
+
+def _cmd_table(args) -> tuple[dict, list[report.Check]]:
+    header, rows, ok = _TABLES[args.kind](args)
+    check = report.Check(
+        name=f"table_{args.kind}",
+        passed=ok,
+        cases=len(rows),
+        witness={"header": header, "rows": rows},
     )
-    return _finish(rep, args.format, args.out)
+    return {"kind": args.kind, "s": args.s, "seed": args.seed}, [check]
 
 
-def _cmd_sieve(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        table = primes.build_table(args.limit)
-    except (ValueError, MemoryError) as exc:  # bad --limit, or too large for memory
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
+    table = primes.build_table(args.limit)
     m = args.limit
     # Self-checks: increments stored exactly; psi matches ln lcm(1..m) at
     # a modest point; psi grows like m.
@@ -290,13 +236,12 @@ def _cmd_sieve(args) -> int:
             witness={},
         ),
     ]
-    rep = report.RunReport(
-        command="sieve",
-        parameters={"limit": args.limit, "seed": args.seed},
-        checks=checks,
-        elapsed=(time.perf_counter() - t0) * 1000.0,
-    )
-    return _finish(rep, args.format, args.out)
+    return {"limit": args.limit, "seed": args.seed}, checks
+
+
+_COMMANDS = {
+    "verify": _cmd_verify, "optimize": _cmd_optimize, "table": _cmd_table, "sieve": _cmd_sieve,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,13 +252,27 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors; normalise and re-raise
         # for real process use while keeping main() callable in-process.
         return int(exc.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    return _cmd_sieve(args)
+    t0 = time.perf_counter()
+    try:
+        parameters, checks = _COMMANDS[args.command](args)
+    except (ValueError, MemoryError) as exc:  # bad input, or too large for memory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rep = report.RunReport(args.command, parameters, checks, (time.perf_counter() - t0) * 1000.0)
+    if args.command == "table" and args.format == "csv":
+        text = report.rows_to_csv(checks[0].witness["header"], checks[0].witness["rows"])
+    else:
+        text = report.render(rep, args.format)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":

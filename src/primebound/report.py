@@ -38,6 +38,11 @@ def _plain(v):
     return str(v)
 
 
+def _cell(v):
+    """A rendered value: a float at 12 significant digits, else its plain copy."""
+    return fmt_real(v) if isinstance(v, float) else _plain(v)
+
+
 @dataclass
 class Check:
     """One named verification: status 'pass' or 'fail' plus witness values."""
@@ -89,10 +94,7 @@ def to_csv(report: RunReport) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["name", "status", "cases", "witness"])
     for c in report.checks:
-        packed = "; ".join(
-            f"{k}={fmt_real(v) if isinstance(v, float) else _plain(v)}"
-            for k, v in c.witness.items()
-        )
+        packed = "; ".join(f"{k}={_cell(v)}" for k, v in c.witness.items())
         w.writerow([c.name, c.status, c.cases, packed])
     return buf.getvalue()
 
@@ -100,13 +102,10 @@ def to_csv(report: RunReport) -> str:
 def to_text(report: RunReport) -> str:
     lines = [f"{report.command}: {'PASS' if report.passed else 'FAIL'}"]
     for k, v in report.parameters.items():
-        lines.append(f"  {k} = {fmt_real(v) if isinstance(v, float) else v}")
+        lines.append(f"  {k} = {_cell(v)}")
     width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
-        extra = "".join(
-            f"  {k}={fmt_real(v) if isinstance(v, float) else _plain(v)}"
-            for k, v in c.witness.items()
-        )
+        extra = "".join(f"  {k}={_cell(v)}" for k, v in c.witness.items())
         lines.append(f"  {c.name:<{width}}  {c.status}  cases={c.cases}{extra}")
     lines.append(f"  elapsed = {report.elapsed:.1f} ms")
     return "\n".join(lines) + "\n"
@@ -118,7 +117,7 @@ def rows_to_csv(header: list[str], rows: list[list]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([fmt_real(v) if isinstance(v, float) else v for v in row])
+        w.writerow([_cell(v) for v in row])
     return buf.getvalue()
 
 

@@ -222,8 +222,43 @@ def test_out_flag_writes_file(capsys, tmp_path):
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
-    assert cli.main(argv) == 2
-    capsys.readouterr()  # swallow argparse/stderr noise
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    if argv in _ARGPARSE_REFUSES:
+        assert err.startswith("usage: ")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Rows of the table above that argparse refuses with its usage text.
+_ARGPARSE_REFUSES = [
+    ["verify", "--suite", "bogus"],
+    ["table", "--kind", "nope"],
+    ["table", "--kind", "psi1", "--x", "100", "--limit", "50"],
+    ["table", "--kind", "increments", "--limit", "50"],
+    ["bogus-command"],
+    [],
+]
+
+
+@pytest.mark.parametrize(
+    "flag, cap", [("--max-n", 32), ("--max-ab", 32), ("--max-ij", 64), ("--count", 10_000)]
+)
+def test_verify_sizes_past_cap_exit_two(capsys, monkeypatch, flag, cap):
+    # Refused before any suite runs; a size at its cap reaches the stub.
+    def no_suite(*args, **kwargs):
+        raise AssertionError("stub: suite reached")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_suite)
+    for value in (cap + 1, 10**5):
+        code, out, err = run_cli(capsys, ["verify", flag, str(value)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    with pytest.raises(AssertionError, match="stub: suite reached"):
+        cli.main(["verify", flag, str(cap)])
 
 
 @pytest.mark.parametrize(
@@ -471,6 +506,29 @@ def test_optimize_matches_golden(capsys):
     code, out, _ = run_cli(capsys, ["optimize", "--format", "json"])
     assert code == 0
     golden = (GOLDEN_DIR / "optimize_default.json").read_text()
+    assert normalized_json(out) == golden
+
+
+def test_table_increments_csv_matches_golden(capsys):
+    # The CSV path of ``table`` bypasses ``report.render``; pin it byte for byte.
+    code, out, _ = run_cli(
+        capsys, ["table", "--kind", "increments", "--n-max", "200", "--format", "csv"]
+    )
+    assert code == 0
+    assert out == (GOLDEN_DIR / "table_increments.csv").read_text()
+
+
+def test_table_asymptotic_gap_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, ["table", "--kind", "asymptotic-gap", "--format", "json"])
+    assert code == 0
+    golden = (GOLDEN_DIR / "table_asymptotic_gap.json").read_text()
+    assert normalized_json(out) == golden
+
+
+def test_sieve_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, ["sieve", "--limit", "100000", "--format", "json"])
+    assert code == 0
+    golden = (GOLDEN_DIR / "sieve_limit_100000.json").read_text()
     assert normalized_json(out) == golden
 
 
