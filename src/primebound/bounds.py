@@ -46,7 +46,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .determinants import HankelSpec, closed_form_det
-from .exact import log_superfactorial
+from .exact import _shown, log_superfactorial
 from .primes import PrimeTable, psi1
 
 _EXACT_N_CAP = 200
@@ -63,12 +63,12 @@ class BoundParams:
         if not (0.0 < self.s <= 1.0):  # also refuses nan and inf
             raise ValueError(f"s must be in (0, 1], got {self.s}")
         if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+            raise ValueError(f"n must be an integer >= 1, got {_shown(self.n)}")
         try:
             if math.floor(self.s * self.n) < 1:
                 raise ValueError(f"floor(s*n) must be >= 1, got s={self.s}, n={self.n}")
         except OverflowError:  # s * n is a float; n may have hundreds of digits
-            raise ValueError(f"n is too large for a float, got {self.n}") from None
+            raise ValueError(f"n is too large for a float, got {_shown(self.n)}") from None
 
     @property
     def a(self) -> int:

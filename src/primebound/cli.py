@@ -36,24 +36,43 @@ _FORMATS = ("text", "json", "csv")
 # grows fast in --max-n and --max-ab, see the ``verify`` help text.
 _VERIFY_CAPS = {"max_n": 32, "max_ab": 32, "max_ij": 64, "count": 10_000}
 
+_ECHO = 60  # characters of one input that an error line repeats
+_LINE = 200  # characters of an argparse error message
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted for an error line: past _ECHO characters, its start and length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error cut to _LINE characters: it may repeat any input."""
+
+    def error(self, message: str):
+        if len(message) > _LINE:
+            message = f"{message[:_LINE]}... ({len(message)} characters)"
+        super().error(message)
+
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{what}: expected comma-separated integers, got {_echo(text)}") from None
     if not values:
         raise ValueError(f"{what}: empty list")
     return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=_FORMATS, default="text", help="output format")
     common.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="primebound",
         description="Exact determinant identities, lcm inequalities and psi_1 lower bounds",
     )
@@ -270,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {_echo(args.out)}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     return 0 if rep.passed else 1
 

@@ -115,6 +115,13 @@ def _digits(k: int) -> int:
     return digits + (k >= 10**digits)
 
 
+def _shown(k) -> str:
+    """k as a message shows it: an int of more than 30 digits by its digit count."""
+    if isinstance(k, int) and abs(k) >= 10**30:
+        return f"{'a negative' if k < 0 else 'an'} integer of {_digits(k)} digits"
+    return repr(k)
+
+
 def log_superfactorial(k: int) -> float:
     """sum_{j<k} ln(j!) = ln G(k+1) (Barnes G).
 

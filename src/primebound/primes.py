@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _exact_prefix_sum
+from .exact import _exact_prefix_sum, _shown
 
 _LCM_CACHE_MAX = 2048
 
@@ -105,7 +105,7 @@ class PrimeTable:
 def build_table(limit: int) -> PrimeTable:
     """Sieve and accumulate all tables up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
     if not 1 <= limit <= MAX_LIMIT:
-        raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {limit}")
+        raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {_shown(limit)}")
     base, at = _mangoldt_base(limit)
     # psi steps only at prime powers: sum Lambda there once, hold each sum to the next.
     lam = np.log(base[at].astype(np.float64))

@@ -111,7 +111,7 @@ def suite_identities(
         ), {"seed": seed}),
         # Consecutive indices x_i = i-1 collapse to the alpha = 2 Hankel case.
         _check("consecutive_indices_match_hankel", ("n", "beta"), (
-            ((n, b), det.generalized_sides(det.consecutive_spec(n, b))[0]
+            ((n, b), det.generalized_lhs(det.consecutive_spec(n, b))
              == det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n)))
             for n, b in itertools.product(range(1, min(max_n, 6) + 1), range(1, min(max_ab, 5) + 1))
         )),
@@ -128,7 +128,7 @@ def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: i
         ab, ij = range(1, max_ab + 1), range(1, max_ij + 1)
         for v in itertools.product(ab, ab, ij, ij):
             scaled = det.basic_integrality(*v).scaled
-            yield v, scaled.denominator == 1 and scaled >= 1
+            yield v, scaled.denominator == 1 and scaled.numerator >= 1
 
     # Every entry is checked before the first improved product is built.
     entries = _check(

@@ -500,3 +500,9 @@ def test_empirical_table_validation(table_small):
         bounds.empirical_table(table_small, [0])
     with pytest.raises(ValueError):
         bounds.empirical_table(table_small, [2001])
+
+
+def test_window_size_past_float_range_is_named_by_its_digit_count():
+    with pytest.raises(ValueError) as info:
+        bounds.BoundParams(s=0.5, n=10**400)
+    assert str(info.value) == "n is too large for a float, got an integer of 401 digits"

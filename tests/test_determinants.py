@@ -6,6 +6,7 @@ fraction-free path, direct beta-integral factorials for matrix entries,
 and seeded random instances for the polynomial determinant lemma.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primebound import determinants as det
-from primebound.exact import pochhammer
+from primebound.exact import factorial_ratio, pochhammer
+from primebound.primes import lcm_upto
 
 
 def _cofactor_det(rows):
@@ -531,6 +533,76 @@ def test_consecutive_indices_collapse_to_hankel():
             lhs, rhs = det.generalized_sides(det.consecutive_spec(n, beta))
             assert lhs == rhs
             assert lhs == det.closed_form_det(det.HankelSpec(alpha=2, beta=beta, n=n))
+
+
+# ----------------------------------------------------------------------
+# integer kernels against the Fraction routes they replaced
+# ----------------------------------------------------------------------
+
+
+def _beta_moment_matrix(spec):
+    """The generalized matrix entry by entry, each a beta_moment Fraction."""
+    n = len(spec.xs)
+    return [[det.beta_moment(x + j + 1, spec.beta) for j in range(1, n + 1)] for x in spec.xs]
+
+
+def _factorial_ratio_rhs(spec):
+    """generalized_rhs as a factorial ratio times the Vandermonde product."""
+    xs, b, n = spec.xs, spec.beta, len(spec.xs)
+    ratio = factorial_ratio([*range(b - 1, b + n - 1), *(x + 1 for x in xs)], [x + b + n for x in xs])
+    return ratio * math.prod(xj - xi for i, xi in enumerate(xs) for xj in xs[i + 1 :])
+
+
+def _krattenthaler_product(inst):
+    """The lemma's closed form as a double loop over both products."""
+    n, rhs = len(inst.x), 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            rhs *= inst.x[i] - inst.x[j]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            rhs *= inst.b[i - 2] - inst.a[j - 2]
+    return rhs
+
+
+def test_generalized_lhs_matches_fraction_elimination():
+    rng = random.Random(17)
+    specs = [det.random_generalized(rng) for _ in range(500)]
+    specs += [det.GeneralizedSpec(xs=(0,), beta=3), det.GeneralizedSpec(xs=(9, 0, 4), beta=1)]
+    assert sum(0 in s.xs for s in specs) >= 50
+    assert sum(list(s.xs) != sorted(s.xs) for s in specs) >= 200
+    for spec in specs:
+        assert det.generalized_lhs(spec) == det.fraction_det(_beta_moment_matrix(spec)), spec
+        assert det.generalized_rhs(spec) == _factorial_ratio_rhs(spec), spec
+
+
+def test_generalized_rows_are_scaled_beta_moments():
+    for n in range(1, 7):
+        for beta in range(1, 7):
+            for x in range(31):
+                scale = Fraction(pochhammer(x + 2, beta + n - 1), factorial(beta - 1))
+                want = [det.beta_moment(x + j + 1, beta) * scale for j in range(1, n + 1)]
+                row = det._generalized_row(x, beta, n)
+                assert all(type(v) is int for v in row)
+                assert row == want, (x, beta, n)
+
+
+def test_basic_integrality_is_lcm_times_beta_moment():
+    for alpha, beta, i, j in itertools.product(range(1, 9), repeat=4):
+        w = det.basic_integrality(alpha, beta, i, j)
+        assert w.cutoff == alpha + beta + i + j - 1
+        assert w.scaled == lcm_upto(w.cutoff) * det.beta_moment(alpha + i + j - 2, beta)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=8), st.data())
+def test_krattenthaler_matrix_and_product_match_their_definitions(x, data):
+    params = st.lists(st.integers(-60, 60), min_size=len(x) - 1, max_size=len(x) - 1)
+    inst = det.KrattenthalerInstance(x=tuple(x), a=tuple(data.draw(params)), b=tuple(data.draw(params)))
+    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
+    lhs, rhs = det.krattenthaler_sides(inst)
+    assert rhs == _krattenthaler_product(inst)
+    assert lhs == rhs
 
 
 # ----------------------------------------------------------------------
