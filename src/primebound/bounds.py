@@ -40,10 +40,11 @@ route can produce (c < 1/2, the true coefficient of psi_1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .determinants import HankelSpec, closed_form_det
 from .exact import _shown, log_superfactorial
@@ -54,10 +55,16 @@ _EXACT_N_CAP = 200
 
 @dataclass(frozen=True)
 class BoundParams:
-    """A scale parameter s in (0, 1] and a window size n, with floor(s n) >= 1."""
+    """A scale parameter s in (0, 1] and a window size n, with floor(s n) >= 1.
+
+    ``a`` = floor(s n), the matrix parameter alpha = beta, is computed once
+    by the validation and stored; it takes no part in ``==``, ``hash`` or
+    ``repr``, which see only (s, n).
+    """
 
     s: float
     n: int
+    a: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.s <= 1.0):  # also refuses nan and inf
@@ -65,15 +72,12 @@ class BoundParams:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {_shown(self.n)}")
         try:
-            if math.floor(self.s * self.n) < 1:
-                raise ValueError(f"floor(s*n) must be >= 1, got s={self.s}, n={self.n}")
+            a = math.floor(self.s * self.n)
         except OverflowError:  # s * n is a float; n may have hundreds of digits
             raise ValueError(f"n is too large for a float, got {_shown(self.n)}") from None
-
-    @property
-    def a(self) -> int:
-        """a = floor(s n), the matrix parameter alpha = beta."""
-        return int(math.floor(self.s * self.n))
+        if a < 1:
+            raise ValueError(f"floor(s*n) must be >= 1, got s={self.s}, n={self.n}")
+        object.__setattr__(self, "a", a)
 
 
 def delta_exact(params: BoundParams) -> Fraction:
@@ -215,9 +219,8 @@ def asymptotic_gap(params: BoundParams) -> float:
 _INCREMENT_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class IncrementCheck:
-    """One evaluated instance of the increment inequality."""
+class IncrementCheck(NamedTuple):
+    """One evaluated instance of the increment inequality (an immutable named tuple)."""
 
     params: BoundParams
     offset: int
@@ -234,31 +237,29 @@ def increment_check(table: PrimeTable, params: BoundParams, offset: int = 0) -> 
 
     offset = -3 is the form delivered directly by the lcm product (the
     psi window is m = 2a+n-2 .. 2a+2n-3); offset = 0 is the relaxed
-    version obtained because psi is nondecreasing.  Both ends must lie
-    inside the table.  ``holds`` allows 1e-6 of slack: both sides are
+    version obtained because psi is nondecreasing.  offset must be an
+    ``int`` and both ends must lie inside the table; the ends are then
+    integers in [0, limit], so psi_1 is read straight from
+    ``table.psi1_hi``.  ``holds`` allows 1e-6 of slack: both sides are
     logs of exact integers, so the slack only absorbs float rounding.
     """
+    if not isinstance(offset, int):
+        raise ValueError(f"offset must be an integer, got {offset!r}")
     a, n = params.a, params.n
     lower = 2 * a + n + offset
-    upper = 2 * a + 2 * n + offset
+    upper = lower + n
     if lower < 0:
         raise ValueError(f"window bottom {lower} is negative")
     if upper > table.limit:
         raise ValueError(
             f"window top {upper} exceeds table limit {table.limit}"
         )
-    lhs = psi1(table, upper) - psi1(table, lower)
+    psi1_hi = table.psi1_hi
+    lhs = psi1_hi.item(upper) - psi1_hi.item(lower)
     rhs = -log_delta(params)
     margin = lhs - rhs
     return IncrementCheck(
-        params=params,
-        offset=offset,
-        lower=lower,
-        upper=upper,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin >= -_INCREMENT_SLACK,
+        params, offset, lower, upper, lhs, rhs, margin, margin >= -_INCREMENT_SLACK
     )
 
 

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from primebound import bounds
+from primebound import bounds, primes
 from primebound import determinants as det
 from primebound.exact import log_int
 
@@ -445,6 +447,52 @@ def test_increment_window_validation(table_small):
         bounds.increment_check(
             table_small, bounds.BoundParams(s=0.9, n=2), offset=-10
         )
+
+
+@pytest.mark.parametrize("offset", [0.5, -0.5, math.nan, math.inf, "1"])
+def test_increment_offset_must_be_an_integer(table_small, offset):
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        bounds.increment_check(table_small, bounds.BoundParams(s=0.9, n=2), offset=offset)
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        bounds.increment_check(None, bounds.BoundParams(s=0.9, n=2), offset=offset)  # before any read
+
+
+def test_increment_check_matches_psi1_and_log_delta_route():
+    table = primes.build_table(2 * 520 + 2 * 650)  # the top window, s = 0.8 at n = 650
+    cases = 0
+    for s in (S_TARGET, 0.15, 0.3, 0.55, 0.8):
+        for n in range(3, 651):
+            a = math.floor(s * n)
+            if a < 1:
+                continue
+            p = bounds.BoundParams(s, n)
+            for offset in (-3, 0):
+                lower, upper = 2 * a + n + offset, 2 * a + 2 * n + offset
+                lhs = primes.psi1(table, upper) - primes.psi1(table, lower)
+                rhs = -bounds.log_delta(p)
+                want = (p, offset, lower, upper, lhs, rhs, lhs - rhs, lhs - rhs >= -1e-6)
+                chk = bounds.increment_check(table, p, offset)
+                assert chk == want, (s, n, offset)
+                assert chk.holds == (chk.margin >= -1e-6)
+                cases += 1
+    assert cases == 2 * (5 * 648 - 5)  # floor(s n) = 0 at s = 0.15, n = 3..6 and s = 0.3, n = 3
+    with pytest.raises(AttributeError):
+        chk.lhs = 0.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6).flatmap(
+        lambda n: st.tuples(st.floats(1.0 / n, 1.0), st.just(n))
+    )
+)
+def test_bound_params_stores_floor_and_keeps_value_semantics(sn):
+    s, n = sn
+    assume(math.floor(s * n) >= 1)
+    p, q = bounds.BoundParams(s, n), bounds.BoundParams(s=s, n=n)
+    assert p.a == math.floor(s * n) and type(p.a) is int
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == f"BoundParams(s={s!r}, n={n!r})"
 
 
 # ----------------------------------------------------------------------

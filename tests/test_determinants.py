@@ -576,6 +576,14 @@ def test_generalized_lhs_matches_fraction_elimination():
         assert det.generalized_rhs(spec) == _factorial_ratio_rhs(spec), spec
 
 
+@_PROPERTY
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True), st.integers(1, 6))
+def test_generalized_identity_property(xs, beta):
+    spec = det.GeneralizedSpec(xs=tuple(xs), beta=beta)
+    lhs = det.generalized_lhs(spec)
+    assert lhs == det.fraction_det(_beta_moment_matrix(spec)) == det.generalized_rhs(spec)
+
+
 def test_generalized_rows_are_scaled_beta_moments():
     for n in range(1, 7):
         for beta in range(1, 7):
