@@ -240,8 +240,9 @@ def increment_check(table: PrimeTable, params: BoundParams, offset: int = 0) -> 
     version obtained because psi is nondecreasing.  offset must be an
     ``int`` and both ends must lie inside the table; the ends are then
     integers in [0, limit], so psi_1 is read straight from
-    ``table.psi1_hi``.  ``holds`` allows 1e-6 of slack: both sides are
-    logs of exact integers, so the slack only absorbs float rounding.
+    ``table.psi1_hi``, which the first check on a table builds.  ``holds``
+    allows 1e-6 of slack: both sides are logs of exact integers, so the
+    slack only absorbs float rounding.
     """
     if not isinstance(offset, int):
         raise ValueError(f"offset must be an integer, got {offset!r}")
@@ -249,11 +250,9 @@ def increment_check(table: PrimeTable, params: BoundParams, offset: int = 0) -> 
     lower = 2 * a + n + offset
     upper = lower + n
     if lower < 0:
-        raise ValueError(f"window bottom {lower} is negative")
+        raise ValueError(f"window bottom {_shown(lower)} is negative")
     if upper > table.limit:
-        raise ValueError(
-            f"window top {upper} exceeds table limit {table.limit}"
-        )
+        raise ValueError(f"window top {_shown(upper)} exceeds table limit {table.limit}")
     psi1_hi = table.psi1_hi
     lhs = psi1_hi.item(upper) - psi1_hi.item(lower)
     rhs = -log_delta(params)

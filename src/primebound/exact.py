@@ -12,9 +12,10 @@ care goes, and the rules used throughout the package are:
   below the 1e-12 per-operation budget assumed by callers;
 * every long running sum (psi and psi_1 in ``primes``, ln G(n+1) here)
   adds nonnegative multiples of 2^-53 and goes through one exact
-  integer-limb scan, :func:`_exact_prefix_sum`, so each stored partial
-  sum is the exact sum of its float terms, correctly rounded; short sums
-  use ``math.fsum``;
+  integer-limb carry scan, :func:`_carry_scan` (through
+  :func:`_exact_prefix_sum` where the sums are wanted as floats), so each
+  stored partial sum is the exact sum of its float terms, correctly
+  rounded; short sums use ``math.fsum``;
 * logarithms of integers too large for float conversion are split as
   ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
   relative error below 1e-15 even for million-digit inputs.
@@ -46,6 +47,53 @@ _ZETA_M1 = -0.16542114370045092921  # zeta'(-1)
 
 _LOW = 43  # bits of the low limb
 _SCAN_LEN = (1 << 20) - 1  # values per cumsum: with the carry, 2^20 lows < 2^43 sum below 2^63
+_MAX_SCALE = 1 << 20  # largest factor of _limbs: a low limb times it stays below 2^63
+
+
+def _limbs(values: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``values * 2^53`` (times ``scale``) as exact int64 limbs top * 2^43 + low, low < 2^43.
+
+    ``values`` are nonnegative multiples of 2^-53, below 2^52 also when
+    scaled.  ``scale``, an optional int64 array of factors in [0, 2^20],
+    multiplies both limbs: a low limb times 2^20 is below 2^63, so each
+    product is exact, and its bits above 2^43 move into top.  A larger
+    factor is a ``ValueError``.
+    """
+    low = values * 1024.0  # values * 2^53 = (top + low) * 2^43
+    top = np.trunc(low)
+    low -= top  # exact: the fraction of a nonnegative float is a float
+    low *= 2.0**_LOW
+    top, low = top.astype(np.int64), low.astype(np.int64)
+    if scale is not None:
+        if scale.size and scale.max() > _MAX_SCALE:
+            raise ValueError(f"limb factor {scale.max()} exceeds 2^20: a product would overflow")
+        top *= scale
+        low *= scale
+        top += low >> _LOW
+        low &= (1 << _LOW) - 1
+    return top, low
+
+
+def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
+    """Turn the limbs of each term into the limbs of the running total, in place.
+
+    Term i is top[i] * 2^43 + low[i] with low[i] < 2^43.  ``carry`` holds the
+    total before the first term as limbs (top, low); it is added to the first
+    term and advanced in place to the total after the last, so consecutive
+    calls sum as one array.  Each limb is summed by one ``cumsum`` per part of
+    2^20 - 1 terms (``_SCAN_LEN``), so no low-limb sum reaches 2^63; on return
+    every low limb is below 2^43 again.  Exact for totals below 2^105.
+    """
+    for start in range(0, top.size, _SCAN_LEN):
+        part = slice(start, start + _SCAN_LEN)
+        t, lo = top[part], low[part]
+        t[0] += carry[0]
+        lo[0] += carry[1]
+        np.cumsum(t, out=t)
+        np.cumsum(lo, out=lo)
+        t += lo >> _LOW
+        lo &= (1 << _LOW) - 1
+        carry[:] = t[-1], lo[-1]
 
 
 def _exact_prefix_sum(
@@ -53,31 +101,18 @@ def _exact_prefix_sum(
 ) -> None:
     """Continue an inclusive prefix sum of nonnegative multiples of 2^-53.
 
-    ``values * 2^53`` is split exactly into two int64 limbs, top * 2^43 + low
-    with low < 2^43, each summed by one ``cumsum``.  ``carry`` holds the
-    running total before ``values`` as the limbs (top, low) of total * 2^53;
-    it is added to the first value and advanced in place to the total after
-    the last, so consecutive calls sum as one array.  Each sum is a + b,
+    ``values * 2^53`` is split into two int64 limbs by :func:`_limbs` and
+    summed by :func:`_carry_scan`, which continues from ``carry``, the limbs
+    of total * 2^53 before ``values``, and advances it.  Each sum is a + b,
     a = (top >> 9) * 2^52 and b = ((top & 511) << 43) | low < 2^52 both exact
     floats, so hi = fl(a + b) is correctly rounded and lo = b - (hi - a),
     when asked for, is its exact tail (fast two-sum: a = 0 or a > b).  Exact
-    for totals below 2^52: values go in parts of 2^20 - 1 (``_SCAN_LEN``) per
-    ``cumsum``, so no low-limb sum reaches 2^63.  ``hi`` may be ``values``.
+    for totals below 2^52.  ``hi`` may be ``values``.
     """
     for start in range(0, values.size, _SCAN_LEN):
         part = slice(start, start + _SCAN_LEN)
-        low = values[part] * 1024.0  # values * 2^53 = (top + low) * 2^43
-        top = np.trunc(low)
-        low -= top  # exact: the fraction of a nonnegative float is a float
-        low *= 2.0**_LOW
-        top, low = top.astype(np.int64), low.astype(np.int64)
-        top[0] += carry[0]
-        low[0] += carry[1]
-        np.cumsum(top, out=top)
-        np.cumsum(low, out=low)
-        top += low >> _LOW
-        low &= (1 << _LOW) - 1
-        carry[:] = top[-1], low[-1]
+        top, low = _limbs(values[part])
+        _carry_scan(top, low, carry)
         low |= (top & 511) << _LOW
         b = low.astype(np.float64)
         a = (top >> 9).astype(np.float64) * 2.0**52

@@ -13,14 +13,19 @@ The central object is :class:`PrimeTable`, built once per limit:
   which makes it monotone.  Only the prime powers (about 8% of the entries
   at 6e5) are scanned, in one call; every other entry holds the psi of the
   prime power before it, filled in by one ``np.repeat``.
-* ``psi1_hi/psi1_lo[m]`` = psi_1(m) = sum_{j<=m} psi(j), summed the same
-  way over the *stored* psi floats: hi is correctly rounded and lo the
-  exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So the
-  stored increment psi_1(m) - psi_1(m-1) equals the stored psi(m)
-  exactly, bit for bit, which :func:`psi1_increment` exposes.
-
-The psi_1 sum is the only dense scan.  It runs over cache-sized blocks,
-each block continuing from the exact limb totals of the one before.
+* psi_1(m) = sum_{j<=m} psi(j), summed the same way over the *stored* psi
+  floats.  psi is constant on each run from one prime power to the next, so
+  psi_1 is linear there: the table keeps only S_k, the exact psi_1 before
+  run k, as int64 limbs from one scan over the run totals.  :func:`psi1`
+  and :func:`psi1_increment` read psi_1(m) = S_k + (m - start_k + 1) psi(m)
+  as a Python int and round it once to (hi, lo): hi correctly rounded and
+  lo the exact remainder, for every limit up to ``MAX_LIMIT`` = 9e7.  So
+  the increment psi_1(m) - psi_1(m-1) equals the stored psi(m) exactly,
+  bit for bit, which :func:`psi1_increment` exposes.
+* ``psi1_hi/psi1_lo[m]`` hold the same (hi, lo) for every m.  They are the
+  only dense scan, and run only on first access (``increment_check`` reads
+  them): over cache-sized blocks, each block continuing from the exact limb
+  totals of the one before.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -32,10 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exact import _exact_prefix_sum, _shown
+from .exact import _LOW, _carry_scan, _exact_prefix_sum, _limbs, _shown
 
 _LCM_CACHE_MAX = 2048
 
@@ -84,48 +90,85 @@ class PrimeTable:
     Fields
     ------
     limit:
-        Largest integer covered; all arrays have length limit + 1.
+        Largest integer covered; the dense arrays have length limit + 1.
     mangoldt_base:
         int64; entry m is p when m = p^k, else 0.
     psi_cum:
         float64; psi(m), correctly rounded, nondecreasing; it steps only at
         prime powers, where mangoldt_base is nonzero.
+    run_start:
+        int64; 0 and every prime power, in order.  Run k is the stretch from
+        run_start[k] to the next start, where psi is constant.
+    run_psi1_top, run_psi1_low:
+        int64; S_k * 2^53 = top * 2^43 + low with low < 2^43, where S_k is
+        psi_1(run_start[k] - 1), the exact sum of the stored psi values
+        before run k.  :func:`psi1` and :func:`psi1_increment` read psi_1
+        from these: psi_1(m) = S_k + (m - run_start[k] + 1) psi(m) in run k.
+
+    Dense psi_1, built on first access
+    ----------------------------------
     psi1_hi, psi1_lo:
         float64; psi_1(m) summed exactly over the stored psi values: hi
         correctly rounded, lo the exact remainder (limits <= MAX_LIMIT).
+        One blocked scan fills and freezes both; after it they are plain
+        instance attributes.
     """
 
     limit: int
     mangoldt_base: np.ndarray
     psi_cum: np.ndarray
-    psi1_hi: np.ndarray
-    psi1_lo: np.ndarray
+    run_start: np.ndarray
+    run_psi1_top: np.ndarray
+    run_psi1_low: np.ndarray
+
+    @cached_property
+    def psi1_hi(self) -> np.ndarray:
+        hi, lo = np.empty(self.limit + 1), np.empty(self.limit + 1)
+        carry = np.zeros(2, dtype=np.int64)
+        # psi_1 is the exact running sum of the *stored* psi values, not of exact psi.
+        for start in range(0, self.limit + 1, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _exact_prefix_sum(self.psi_cum[block], carry, hi[block], lo[block])
+        hi.setflags(write=False)
+        lo.setflags(write=False)
+        vars(self)["psi1_lo"] = lo  # the same scan fills both
+        return hi
+
+    @cached_property
+    def psi1_lo(self) -> np.ndarray:
+        self.psi1_hi  # stores psi1_lo beside it
+        return vars(self)["psi1_lo"]
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Sieve and accumulate all tables up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
+    """Sieve and accumulate the tables up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
     if not 1 <= limit <= MAX_LIMIT:
         raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {_shown(limit)}")
     base, at = _mangoldt_base(limit)
     # psi steps only at prime powers: sum Lambda there once, hold each sum to the next.
     lam = np.log(base[at].astype(np.float64))
     _exact_prefix_sum(lam, np.zeros(2, dtype=np.int64), lam)
-    psi_cum = np.repeat(np.concatenate(([0.0], lam)), np.diff(at, prepend=0, append=limit + 1))
-    del at, lam  # before the dense psi_1 arrays, so the peak holds four arrays
-    psi1_hi, psi1_lo = np.empty(limit + 1), np.empty(limit + 1)
-    carry = np.zeros(2, dtype=np.int64)
-    # psi_1 is the exact running sum of the *stored* psi values, not of exact psi.
-    for start in range(0, limit + 1, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _exact_prefix_sum(psi_cum[block], carry, psi1_hi[block], psi1_lo[block])
-    for arr in (base, psi_cum, psi1_hi, psi1_lo):
+    starts = np.concatenate(([0], at))
+    run_psi = np.concatenate(([0.0], lam))
+    del at, lam
+    lengths = np.diff(starts, append=limit + 1)
+    # S_k is the sum of the run totals len_j psi_j over j < k.  Every run but
+    # the last is a gap between prime powers, far below _limbs' 2^20 at
+    # limit <= MAX_LIMIT, so each product is exact.
+    top, low = np.zeros_like(starts), np.zeros_like(starts)
+    top[1:], low[1:] = _limbs(run_psi[:-1], lengths[:-1])
+    _carry_scan(top, low, np.zeros(2, dtype=np.int64))
+    psi_cum = np.repeat(run_psi, lengths)
+    del run_psi, lengths  # before psi_cum is returned, so the peak holds the table
+    for arr in (base, psi_cum, starts, top, low):
         arr.setflags(write=False)
     return PrimeTable(
         limit=limit,
         mangoldt_base=base,
         psi_cum=psi_cum,
-        psi1_hi=psi1_hi,
-        psi1_lo=psi1_lo,
+        run_start=starts,
+        run_psi1_top=top,
+        run_psi1_low=low,
     )
 
 
@@ -152,6 +195,25 @@ def _integer_index(table: PrimeTable, m: int, name: str) -> int:
     return _check_range(table, idx, 1)
 
 
+def _psi1_sums(table: PrimeTable, m: int) -> tuple[int, int]:
+    """2^53 psi_1(m - 1) and 2^53 psi_1(m) as exact Python ints, for 0 <= m <= limit.
+
+    psi is constant on the run holding m, so both are S_k plus whole steps
+    of the stored psi(m).
+    """
+    k = int(table.run_start.searchsorted(m, "right")) - 1
+    before = (table.run_psi1_top.item(k) << _LOW) + table.run_psi1_low.item(k)
+    step = int(table.psi_cum.item(m) * 2.0**53)
+    j = m - table.run_start.item(k)
+    return before + j * step, before + (j + 1) * step
+
+
+def _rounded(s: int) -> tuple[float, float]:
+    """s / 2^53 as (hi, lo): hi correctly rounded (half to even), lo the exact rest."""
+    hi = s / 2**53
+    return hi, (s - int(hi * 2.0**53)) / 2**53
+
+
 def mangoldt(table: PrimeTable, m: int) -> int | None:
     """The prime p with m = p^k, or None when Lambda(m) = 0.  1 <= m <= limit."""
     p = int(table.mangoldt_base[_integer_index(table, m, "mangoldt")])
@@ -164,22 +226,28 @@ def psi(table: PrimeTable, x: float) -> float:
 
 
 def psi1(table: PrimeTable, x: float) -> float:
-    """psi_1(x) = sum_{m <= x} psi(m) = integral of psi, for 0 <= x <= limit."""
-    return float(table.psi1_hi[_check_range(table, x, 0)])
+    """psi_1(x) = sum_{m <= x} psi(m) = integral of psi, for 0 <= x <= limit.
+
+    Read from the run sums, not the dense arrays, and rounded once: the
+    same float as ``table.psi1_hi[floor(x)]``.
+    """
+    return _psi1_sums(table, _check_range(table, x, 0))[1] / 2**53
 
 
 def psi1_increment(table: PrimeTable, m: int) -> float:
-    """psi_1(m) - psi_1(m-1) from the stored (hi, lo) pairs, rounded once.
+    """psi_1(m) - psi_1(m-1) from the (hi, lo) pairs, rounded once.
 
-    hi + lo is each exact psi_1 sum, and ``math.fsum`` rounds the exact
-    difference of the four limbs once, so this equals the stored psi(m)
-    bit for bit; it exists so that consumers (and tests) can witness the
-    identity without re-deriving the accumulation scheme.  Requires
-    1 <= m <= limit.
+    Both pairs come from the run sums, each exact sum rounded once, so
+    they are the pairs ``psi1_hi``/``psi1_lo`` hold, and no dense array is
+    built.  hi + lo is each exact psi_1 sum, and ``math.fsum`` rounds the
+    exact difference of the four limbs once, so this equals the stored
+    psi(m) bit for bit; it exists so that consumers (and tests) can
+    witness the identity without re-deriving the accumulation scheme.
+    Requires 1 <= m <= limit.
     """
-    idx = _integer_index(table, m, "psi1_increment")
-    hi, lo = table.psi1_hi, table.psi1_lo
-    return math.fsum((hi[idx], -hi[idx - 1], lo[idx], -lo[idx - 1]))
+    below, at = _psi1_sums(table, _integer_index(table, m, "psi1_increment"))
+    (hi0, lo0), (hi1, lo1) = _rounded(below), _rounded(at)
+    return math.fsum((hi1, -hi0, lo1, -lo0))
 
 
 # ----------------------------------------------------------------------

@@ -449,6 +449,19 @@ def test_increment_window_validation(table_small):
         )
 
 
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        (10**400, "window top an integer of 401 digits exceeds table limit 2000"),
+        (-(10**400), "window bottom a negative integer of 400 digits is negative"),
+    ],
+)
+def test_increment_window_names_a_huge_end_by_its_digits(table_small, offset, message):
+    with pytest.raises(ValueError) as err:
+        bounds.increment_check(table_small, bounds.BoundParams(s=0.9, n=2), offset=offset)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("offset", [0.5, -0.5, math.nan, math.inf, "1"])
 def test_increment_offset_must_be_an_integer(table_small, offset):
     with pytest.raises(ValueError, match="offset must be an integer"):

@@ -509,6 +509,20 @@ def test_optimize_matches_golden(capsys):
     assert normalized_json(out) == golden
 
 
+def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
+    # sieve and table --kind psi1 read psi_1 at points from the run sums;
+    # increment_check reads the dense arrays, built on its first window.
+    built = []
+    build = cli.primes.build_table
+    monkeypatch.setattr(cli.primes, "build_table", lambda limit: built.append(build(limit)) or built[-1])
+    for argv in (["sieve", "--limit", "100000"], ["table", "--kind", "psi1"],
+                 ["table", "--kind", "increments"]):
+        assert run_cli(capsys, argv)[0] == 0
+    assert [("psi1_hi" in vars(t), "psi1_lo" in vars(t)) for t in built] == [
+        (False, False), (False, False), (True, True)
+    ]
+
+
 def test_table_increments_csv_matches_golden(capsys):
     # The CSV path of ``table`` bypasses ``report.render``; pin it byte for byte.
     code, out, _ = run_cli(

@@ -309,6 +309,27 @@ def test_exact_prefix_sum_empty_part_is_a_no_op(terms, k):
     assert carry.tolist() == whole_carry.tolist()
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**53 - 1), st.integers(0, 30)), min_size=1, max_size=40),
+    st.lists(st.integers(0, 2**20), min_size=40, max_size=40),
+)
+def test_scaled_limbs_are_exact_products(terms, factors):
+    # Values below 2^30 times factors up to 2^20: the run totals of a prime
+    # table, len * psi * 2^53, are such products.
+    ints = [m << e for m, e in terms]
+    factors = factors[: len(ints)]
+    top, low = exact._limbs(np.array([x / 2**53 for x in ints]), np.array(factors))
+    for x, k, t, lo in zip(ints, factors, top.tolist(), low.tolist(), strict=True):
+        assert 0 <= lo < 2**43
+        assert (t << 43) + lo == x * k
+
+
+def test_limbs_refuse_a_factor_past_two_to_the_twenty():
+    with pytest.raises(ValueError, match="exceeds"):
+        exact._limbs(np.array([1.0, 1.0]), np.array([1, 2**20 + 1]))
+
+
 def test_log_int_small_and_huge():
     assert exact.log_int(1) == 0.0
     assert exact.log_int(7) == math.log(7)

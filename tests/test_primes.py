@@ -86,6 +86,19 @@ def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
     return bad
 
 
+def _point_route_mismatches(t, ms) -> list:
+    """Indices m where psi_1 read at m and at m - 1 from the run sums differs
+    from the dense arrays, comparing the bits of both limbs."""
+    hi, lo = t.psi1_hi.view(np.int64), t.psi1_lo.view(np.int64)
+    bad = []
+    for m in ms:
+        below, at = primes._psi1_sums(t, m)
+        want = [hi[m], lo[m], hi[m - 1], lo[m - 1]] if m else [hi[0], lo[0], 0, 0]
+        if np.array([*primes._rounded(at), *primes._rounded(below)]).view(np.int64).tolist() != want:
+            bad.append(m)
+    return bad
+
+
 # ----------------------------------------------------------------------
 # construction and classification
 # ----------------------------------------------------------------------
@@ -152,8 +165,11 @@ def test_mangoldt_validation(table_small):
 
 
 def test_table_arrays_are_frozen(table_small):
-    with pytest.raises(ValueError):
-        table_small.psi_cum[5] = 1.0
+    t = table_small
+    for arr in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi1_top, t.run_psi1_low,
+                t.psi1_hi, t.psi1_lo):
+        with pytest.raises(ValueError):
+            arr[1] = 1
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +274,34 @@ def test_tables_equal_exact_integer_sums(table_million):
 B = primes._BLOCK
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 10, 2000, B - 1, B, B + 1, 100_000])
+def test_point_reads_equal_dense_arrays_at_every_index(limit):
+    t = primes.build_table(limit)
+    assert "psi1_hi" not in vars(t)
+    assert not _point_route_mismatches(t, range(limit + 1))
+
+
+def test_point_reads_equal_dense_arrays_million(table_million):
+    t = table_million
+    ms = sorted({*range(0, t.limit + 1, 997), *range(t.limit - 299, t.limit + 1)})
+    assert not _point_route_mismatches(t, ms)
+    assert [primes.psi1(t, m) for m in ms] == t.psi1_hi[ms].tolist()
+
+
+def test_dense_psi1_is_built_once_whichever_array_is_read_first():
+    a, b = primes.build_table(100), primes.build_table(100)
+    lo, hi = a.psi1_lo, a.psi1_hi
+    assert vars(a)["psi1_hi"] is hi and vars(a)["psi1_lo"] is lo
+    assert hi.tolist() == b.psi1_hi.tolist() and lo.tolist() == b.psi1_lo.tolist()
+
+
+def test_run_sums_start_at_every_prime_power(table_small):
+    t = table_small
+    assert t.run_start.tolist() == [0, *np.flatnonzero(t.mangoldt_base).tolist()]
+    assert t.run_psi1_top[0] == t.run_psi1_low[0] == 0
+    assert np.all(t.run_psi1_low < 2**43)
+
+
 # Every small limit, where a block may hold no prime power (limit 1), and
 # the edges of the first blocks: 2^16 is a prime power, 65,537 a prime.
 @pytest.mark.parametrize(
@@ -272,23 +316,43 @@ def test_tables_exact_across_block_boundaries(limit):
                 assert primes.psi1_increment(t, m) == primes.psi(t, m), m
 
 
-def test_build_table_peak_memory_is_its_four_arrays():
-    # The sparse psi arrays are dropped before the psi_1 arrays are written,
-    # and psi_1 is scanned a block at a time, so the peak is the table plus
-    # block-sized temporaries.  A dense temporary left alive (8 MB here) fails.
+def test_build_table_peak_memory_is_its_sparse_arrays():
+    # The run intermediates are dropped as psi_cum is written and no dense
+    # psi_1 array is built, so the peak is the table plus run-sized
+    # temporaries.  A dense temporary left alive (8 MB here) fails.
     tracemalloc.start()
     try:
         t = primes.build_table(1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(a.nbytes for a in (t.mangoldt_base, t.psi_cum, t.psi1_hi, t.psi1_lo))
+    arrays = sum(
+        a.nbytes for a in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi1_top, t.run_psi1_low)
+    )
+    assert peak <= arrays + 2 * 2**20, (peak, arrays)
+
+
+def test_dense_psi1_peak_memory_is_its_two_arrays():
+    # psi_1 is scanned a block at a time, so building the dense pair costs
+    # the pair plus block-sized temporaries: with mangoldt_base and psi_cum,
+    # the four arrays plus 2 MB.
+    t = primes.build_table(1_000_000)
+    tracemalloc.start()
+    try:
+        dense = (t.psi1_hi, t.psi1_lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in dense)
     assert peak <= arrays + 2 * 2**20, (peak, arrays)
 
 
 @pytest.mark.slow
 def test_tables_equal_exact_integer_sums_ten_million():
-    assert not _exact_sum_mismatches(primes.build_table(10_000_000))
+    t = primes.build_table(10_000_000)
+    assert not _exact_sum_mismatches(t)
+    ms = sorted({*range(0, t.limit + 1, 997), *range(t.limit - 299, t.limit + 1)})
+    assert not _point_route_mismatches(t, ms)
 
 
 def test_psi1_increment_validation(table_small):
