@@ -65,7 +65,7 @@ def _limbs(values: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndar
     low *= 2.0**_LOW
     top, low = top.astype(np.int64), low.astype(np.int64)
     if scale is not None:
-        if scale.size and scale.max() > _MAX_SCALE:
+        if scale.max(initial=0) > _MAX_SCALE:
             raise ValueError(f"limb factor {scale.max()} exceeds 2^20: a product would overflow")
         top *= scale
         low *= scale

@@ -150,7 +150,7 @@ def build_table(limit: int) -> PrimeTable:
     _exact_prefix_sum(lam, np.zeros(2, dtype=np.int64), lam)
     starts = np.concatenate(([0], at))
     run_psi = np.concatenate(([0.0], lam))
-    del at, lam
+    del at, lam  # so that while psi_cum is written, the peak is the table and two run arrays
     lengths = np.diff(starts, append=limit + 1)
     # S_k is the sum of the run totals len_j psi_j over j < k.  Every run but
     # the last is a gap between prime powers, far below _limbs' 2^20 at
@@ -159,7 +159,6 @@ def build_table(limit: int) -> PrimeTable:
     top[1:], low[1:] = _limbs(run_psi[:-1], lengths[:-1])
     _carry_scan(top, low, np.zeros(2, dtype=np.int64))
     psi_cum = np.repeat(run_psi, lengths)
-    del run_psi, lengths  # before psi_cum is returned, so the peak holds the table
     for arr in (base, psi_cum, starts, top, low):
         arr.setflags(write=False)
     return PrimeTable(

@@ -514,7 +514,12 @@ def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
     # increment_check reads the dense arrays, built on its first window.
     built = []
     build = cli.primes.build_table
-    monkeypatch.setattr(cli.primes, "build_table", lambda limit: built.append(build(limit)) or built[-1])
+
+    def capture(limit):
+        built.append(build(limit))
+        return built[-1]
+
+    monkeypatch.setattr(cli.primes, "build_table", capture)
     for argv in (["sieve", "--limit", "100000"], ["table", "--kind", "psi1"],
                  ["table", "--kind", "increments"]):
         assert run_cli(capsys, argv)[0] == 0

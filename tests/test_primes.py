@@ -86,6 +86,11 @@ def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
     return bad
 
 
+def _sampled(limit: int) -> list:
+    """Every 997th index up to limit, and the last 300."""
+    return sorted({*range(0, limit + 1, 997), *range(max(0, limit - 299), limit + 1)})
+
+
 def _point_route_mismatches(t, ms) -> list:
     """Indices m where psi_1 read at m and at m - 1 from the run sums differs
     from the dense arrays, comparing the bits of both limbs."""
@@ -283,7 +288,7 @@ def test_point_reads_equal_dense_arrays_at_every_index(limit):
 
 def test_point_reads_equal_dense_arrays_million(table_million):
     t = table_million
-    ms = sorted({*range(0, t.limit + 1, 997), *range(t.limit - 299, t.limit + 1)})
+    ms = _sampled(t.limit)
     assert not _point_route_mismatches(t, ms)
     assert [primes.psi1(t, m) for m in ms] == t.psi1_hi[ms].tolist()
 
@@ -351,8 +356,7 @@ def test_dense_psi1_peak_memory_is_its_two_arrays():
 def test_tables_equal_exact_integer_sums_ten_million():
     t = primes.build_table(10_000_000)
     assert not _exact_sum_mismatches(t)
-    ms = sorted({*range(0, t.limit + 1, 997), *range(t.limit - 299, t.limit + 1)})
-    assert not _point_route_mismatches(t, ms)
+    assert not _point_route_mismatches(t, _sampled(t.limit))
 
 
 def test_psi1_increment_validation(table_small):
