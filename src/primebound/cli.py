@@ -232,10 +232,8 @@ def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
     lcm_ok = abs(
         primes.psi(table, probe) - log_int(primes.lcm_upto(probe))
     ) <= 1e-9 * max(1.0, probe)
-    inc_ok = all(
-        primes.psi1_increment(table, k) == primes.psi(table, k)
-        for k in range(max(1, m - 200), m + 1)
-    )
+    increments = primes._psi1_increments(table, max(1, m - 200), m)
+    inc_ok = all(inc == stored for inc, stored in increments)
     checks = [
         report.Check(
             name="psi_equals_ln_lcm",

@@ -510,13 +510,16 @@ def test_optimize_matches_golden(capsys):
 
 
 def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
-    # sieve and table --kind psi1 read psi_1 at points from the run sums;
-    # increment_check reads the dense arrays, built on its first window.
+    # sieve and table --kind psi1 read psi, psi_1 and Lambda at points from
+    # the runs; increment_check reads the dense psi_1 pair, built on its
+    # first window.  No command builds mangoldt_base or psi_cum.
     built = []
     build = cli.primes.build_table
+    dense = {"mangoldt_base", "psi_cum", "psi1_hi", "psi1_lo"}
 
     def capture(limit):
         built.append(build(limit))
+        assert not dense & vars(built[-1]).keys()
         return built[-1]
 
     monkeypatch.setattr(cli.primes, "build_table", capture)
@@ -526,6 +529,7 @@ def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
     assert [("psi1_hi" in vars(t), "psi1_lo" in vars(t)) for t in built] == [
         (False, False), (False, False), (True, True)
     ]
+    assert [dense & vars(t).keys() for t in built] == [set(), set(), {"psi1_hi", "psi1_lo"}]
 
 
 def test_table_increments_csv_matches_golden(capsys):

@@ -86,6 +86,17 @@ def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
     return bad
 
 
+def _point_read_mismatches(t, ms) -> list:
+    """Indices m where psi or mangoldt read at m from the runs differs from
+    the dense arrays."""
+    base, psi = t.mangoldt_base.tolist(), t.psi_cum.view(np.int64).tolist()
+    return [
+        m for m in ms
+        if np.float64(primes.psi(t, m)).view(np.int64) != psi[m]
+        or (m and (primes.mangoldt(t, m) or 0) != base[m])
+    ]
+
+
 def _sampled(limit: int) -> list:
     """Every 997th index up to limit, and the last 300."""
     return sorted({*range(0, limit + 1, 997), *range(max(0, limit - 299), limit + 1)})
@@ -149,12 +160,12 @@ def test_mangoldt_matches_trial_division(table_million):
 
 def test_mangoldt_base_matches_bytearray_sieve(table_million):
     assert table_million.mangoldt_base.tolist() == _bytearray_mangoldt_base(1_000_000)
-    # The bases at a smaller limit are a prefix of these, and the positions
-    # returned beside them are those of the prime powers.
+    # The bases at a smaller limit are a prefix of these, and the run starts
+    # after 0 are the positions of the prime powers.
     for limit in (*range(1, 41), B - 1, B + 1, 1_000_000):
-        base, at = primes._mangoldt_base(limit)
-        assert base.tolist() == table_million.mangoldt_base[: limit + 1].tolist(), limit
-        assert at.tolist() == np.flatnonzero(base).tolist(), limit
+        t = primes.build_table(limit)
+        assert t.mangoldt_base.tolist() == table_million.mangoldt_base[: limit + 1].tolist(), limit
+        assert t.run_start[1:].tolist() == np.flatnonzero(t.mangoldt_base).tolist(), limit
 
 
 def test_mangoldt_validation(table_small):
@@ -171,8 +182,8 @@ def test_mangoldt_validation(table_small):
 
 def test_table_arrays_are_frozen(table_small):
     t = table_small
-    for arr in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi1_top, t.run_psi1_low,
-                t.psi1_hi, t.psi1_lo):
+    for arr in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi, t.run_psi1_top,
+                t.run_psi1_low, t.powers, t.roots, t.psi1_hi, t.psi1_lo):
         with pytest.raises(ValueError):
             arr[1] = 1
 
@@ -277,33 +288,65 @@ def test_tables_equal_exact_integer_sums(table_million):
 
 
 B = primes._BLOCK
+DENSE = {"mangoldt_base", "psi_cum", "psi1_hi", "psi1_lo"}
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 10, 2000, B - 1, B, B + 1, 100_000])
 def test_point_reads_equal_dense_arrays_at_every_index(limit):
     t = primes.build_table(limit)
-    assert "psi1_hi" not in vars(t)
+    assert not DENSE & vars(t).keys()
     assert not _point_route_mismatches(t, range(limit + 1))
+    assert not _point_read_mismatches(t, range(limit + 1))
 
 
 def test_point_reads_equal_dense_arrays_million(table_million):
     t = table_million
     ms = _sampled(t.limit)
     assert not _point_route_mismatches(t, ms)
+    assert not _point_read_mismatches(t, ms)
     assert [primes.psi1(t, m) for m in ms] == t.psi1_hi[ms].tolist()
 
 
 def test_dense_psi1_is_built_once_whichever_array_is_read_first():
     a, b = primes.build_table(100), primes.build_table(100)
     lo, hi = a.psi1_lo, a.psi1_hi
+    assert not {"mangoldt_base", "psi_cum"} & vars(a).keys()
     assert vars(a)["psi1_hi"] is hi and vars(a)["psi1_lo"] is lo
     assert hi.tolist() == b.psi1_hi.tolist() and lo.tolist() == b.psi1_lo.tolist()
+
+
+@pytest.mark.parametrize("first", ["mangoldt_base", "psi_cum"])
+def test_each_dense_array_is_built_once_whichever_is_read_first(first):
+    # Neither array builds another; reading the rest leaves the first in place.
+    t, ref = primes.build_table(B + 1), primes.build_table(B + 1)
+    arr = getattr(t, first)
+    assert DENSE & vars(t).keys() == {first}
+    built = {name: getattr(t, name) for name in sorted(DENSE)}
+    assert built[first] is arr
+    for name in DENSE:
+        assert vars(t)[name] is built[name] is getattr(t, name)
+        assert built[name].tobytes() == getattr(ref, name).tobytes()
+
+
+def test_psi1_increments_walk_equals_dense_pairs(table_small):
+    # The walk over consecutive m against the four limbs of the dense scan,
+    # from the first index, inside one run, across many runs, and to the limit.
+    t = table_small
+    hi, lo = t.psi1_hi.tolist(), t.psi1_lo.tolist()
+    for first, last in ((1, 1), (1, 2000), (24, 28), (1024, 1024), (1800, 2000), (2000, 2000)):
+        want = [(math.fsum((hi[m], -hi[m - 1], lo[m], -lo[m - 1])), t.psi_cum[m])
+                for m in range(first, last + 1)]
+        assert primes._psi1_increments(t, first, last) == want, (first, last)
 
 
 def test_run_sums_start_at_every_prime_power(table_small):
     t = table_small
     assert t.run_start.tolist() == [0, *np.flatnonzero(t.mangoldt_base).tolist()]
     assert t.run_psi1_top[0] == t.run_psi1_low[0] == 0
+    assert t.run_psi.tolist() == t.psi_cum[t.run_start].tolist()
+    pk = [m for m in t.run_start[1:].tolist() if t.mangoldt_base[m] != m]
+    assert t.powers.tolist() == pk
+    assert t.roots.tolist() == t.mangoldt_base[pk].tolist()
     assert np.all(t.run_psi1_low < 2**43)
 
 
@@ -322,19 +365,19 @@ def test_tables_exact_across_block_boundaries(limit):
 
 
 def test_build_table_peak_memory_is_its_sparse_arrays():
-    # The run intermediates are dropped as psi_cum is written and no dense
-    # psi_1 array is built, so the peak is the table plus run-sized
-    # temporaries.  A dense temporary left alive (8 MB here) fails.
+    # The build writes no array of length limit + 1: its peak is the eager
+    # run arrays, the odd-only sieve (one byte per odd number) and run-sized
+    # temporaries.  Any dense temporary (8 MB here) fails.
+    limit = 1_000_000
     tracemalloc.start()
     try:
-        t = primes.build_table(1_000_000)
+        t = primes.build_table(limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(
-        a.nbytes for a in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi1_top, t.run_psi1_low)
-    )
-    assert peak <= arrays + 2 * 2**20, (peak, arrays)
+    assert not DENSE & vars(t).keys()
+    arrays = sum(a.nbytes for a in vars(t).values() if isinstance(a, np.ndarray))
+    assert peak <= arrays + (limit + 1) // 2 + 2 * 2**20, (peak, arrays)
 
 
 def test_dense_psi1_peak_memory_is_its_two_arrays():
@@ -357,6 +400,7 @@ def test_tables_equal_exact_integer_sums_ten_million():
     t = primes.build_table(10_000_000)
     assert not _exact_sum_mismatches(t)
     assert not _point_route_mismatches(t, _sampled(t.limit))
+    assert not _point_read_mismatches(t, _sampled(t.limit))
 
 
 def test_psi1_increment_validation(table_small):
