@@ -69,14 +69,14 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.s <= 1.0):  # also refuses nan and inf
             raise ValueError(f"s must be in (0, 1], got {self.s}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int):
             raise ValueError(f"n must be an integer >= 1, got {_shown(self.n)}")
         try:
             a = math.floor(self.s * self.n)
         except OverflowError:  # s * n is a float; n may have hundreds of digits
             raise ValueError(f"n is too large for a float, got {_shown(self.n)}") from None
-        if a < 1:
-            raise ValueError(f"floor(s*n) must be >= 1, got s={self.s}, n={self.n}")
+        if a < 1:  # also every n < 1, as 0 < s <= 1
+            raise ValueError(f"floor(s*n) must be >= 1, got s={self.s}, n={_shown(self.n)}")
         object.__setattr__(self, "a", a)
 
 

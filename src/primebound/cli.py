@@ -14,6 +14,15 @@ way: it owns the clock, turns a ``ValueError`` or ``MemoryError`` into one
 ``error:`` line on stderr, renders the report and writes it, and picks the
 exit code.
 
+Parsing: one table, ``_SUBCOMMANDS``, names each subcommand with its help
+text and the function that adds its arguments after the common ones
+(``--format``, ``--seed``, ``--out``).  When argv starts with a subcommand,
+:func:`main` builds only that subcommand's parser; the full tree is built
+from the same table only for top-level help, a missing or unknown command,
+or arguments the subcommand leaves over.  Either way every help, usage and
+error text is the full tree's.  The window sizes of ``table`` are checked by
+``bounds.BoundParams`` itself, its refusals reworded in the flags' terms.
+
 Exit codes: 0 all checks passed, 1 at least one mathematical check
 failed, 2 usage or resource error (bad arguments, unwritable output).
 Output is deterministic for a fixed command line and seed, except the
@@ -66,63 +75,101 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=_FORMATS, default="text", help="output format")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _common_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=_FORMATS, default="text", help="output format")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
+    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
-    p = _Parser(
-        prog="primebound",
-        description="Exact determinant identities, lcm inequalities and psi_1 lower bounds",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run a verification suite",
-        description="Run a verification suite. Each size flag is capped; with "
-        "--max-n and --max-ab both at their caps, --suite all takes about 40 s "
-        "and 50 MB.",
-    )
-    pv.add_argument(
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--suite",
         choices=("identities", "inequalities", "selberg", "all"),
         default="all",
     )
     caps = _VERIFY_CAPS
-    pv.add_argument("--max-n", type=int, default=8,
-                    help=f"matrix sizes up to this n (1..{caps['max_n']})")
-    pv.add_argument("--max-ab", type=int, default=6,
-                    help=f"alpha, beta up to this value (1..{caps['max_ab']})")
-    pv.add_argument("--max-ij", type=int, default=6,
-                    help=f"entry indices up to this value (1..{caps['max_ij']})")
-    pv.add_argument("--count", type=int, default=100,
-                    help=f"random instances per randomised check (1..{caps['count']})")
+    p.add_argument("--max-n", type=int, default=8,
+                   help=f"matrix sizes up to this n (1..{caps['max_n']})")
+    p.add_argument("--max-ab", type=int, default=6,
+                   help=f"alpha, beta up to this value (1..{caps['max_ab']})")
+    p.add_argument("--max-ij", type=int, default=6,
+                   help=f"entry indices up to this value (1..{caps['max_ij']})")
+    p.add_argument("--count", type=int, default=100,
+                   help=f"random instances per randomised check (1..{caps['count']})")
 
-    po = sub.add_parser("optimize", parents=[common], help="maximise the asymptotic constant")
-    po.add_argument("--lo", type=float, default=0.01)
-    po.add_argument("--hi", type=float, default=0.99)
-    po.add_argument("--tol", type=float, default=1e-9)
 
-    pt = sub.add_parser("table", parents=[common], help="emit numeric tables")
-    pt.add_argument(
+def _optimize_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lo", type=float, default=0.01)
+    p.add_argument("--hi", type=float, default=0.99)
+    p.add_argument("--tol", type=float, default=1e-9)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--kind",
         choices=("psi1", "increments", "asymptotic-gap"),
         required=True,
     )
-    pt.add_argument("--x", default="10,100,1000,10000", help="psi1: comma-separated x values")
-    pt.add_argument("--s", type=float, default=0.39191162, help="scale parameter s")
-    pt.add_argument("--n-min", type=int, default=3, help="increments: first window size")
-    pt.add_argument("--n-max", type=int, default=50, help="increments: last window size")
-    pt.add_argument("--n", default="250,500,1000,2000", help="asymptotic-gap: comma-separated n values")
-    pt.add_argument("--c-star", type=float, default=None, help="psi1: override the bound constant")
+    p.add_argument("--x", default="10,100,1000,10000", help="psi1: comma-separated x values")
+    p.add_argument("--s", type=float, default=0.39191162, help="scale parameter s")
+    p.add_argument("--n-min", type=int, default=3, help="increments: first window size")
+    p.add_argument("--n-max", type=int, default=50, help="increments: last window size")
+    p.add_argument("--n", default="250,500,1000,2000", help="asymptotic-gap: comma-separated n values")
+    p.add_argument("--c-star", type=float, default=None, help="psi1: override the bound constant")
 
-    ps = sub.add_parser("sieve", parents=[common], help="build a prime table and self-check")
-    ps.add_argument("--limit", type=int, default=100000)
 
+def _sieve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--limit", type=int, default=100000)
+
+
+# name: (help, description or None, adds the arguments after the common ones)
+_SUBCOMMANDS = {
+    "verify": (
+        "run a verification suite",
+        "Run a verification suite. Each size flag is capped; with --max-n and "
+        "--max-ab both at their caps, --suite all takes about 40 s and 50 MB.",
+        _verify_args,
+    ),
+    "optimize": ("maximise the asymptotic constant", None, _optimize_args),
+    "table": ("emit numeric tables", None, _table_args),
+    "sieve": ("build a prime table and self-check", None, _sieve_args),
+}
+
+
+def _subparser(p: argparse.ArgumentParser, add) -> argparse.ArgumentParser:
+    _common_args(p)
+    add(p)
     return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: ``primebound`` and every subcommand under it."""
+    p = _Parser(
+        prog="primebound",
+        description="Exact determinant identities, lcm inequalities and psi_1 lower bounds",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, description, add) in _SUBCOMMANDS.items():
+        _subparser(sub.add_parser(name, help=help_, description=description), add)
+    return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as the full tree parses it, building only the named subcommand's parser.
+
+    That parser is the one the tree would hand the rest of argv to, so it
+    parses, prints help and refuses alike.  Anything else (no command, an
+    unknown one, top-level help, or arguments the subcommand leaves over)
+    goes to the full tree, whose messages name ``primebound`` itself.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        _, description, add = _SUBCOMMANDS[argv[0]]
+        p = _subparser(_Parser(prog=f"primebound {argv[0]}", description=description), add)
+        args, extras = p.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _cmd_verify(args) -> tuple[dict, list[report.Check]]:
@@ -158,14 +205,21 @@ def _cmd_optimize(args) -> tuple[dict, list[report.Check]]:
     return {"lo": args.lo, "hi": args.hi, "tol": args.tol, "seed": args.seed}, checks
 
 
-def _floor_sn(s: float, n: int, flag: str) -> int:
-    """floor(s n) for the --s and a window size n given on the command line."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"--s must be in (0, 1], got {s}")
+def _bound_params(s: float, n: int, flag: str, too_small: str) -> bounds.BoundParams:
+    """``BoundParams(s, n)`` for --s and the window size n given as ``flag``.
+
+    Its refusal is reworded in the flags' terms: the domain of s, an n past
+    the float range, or ``too_small`` when n < 1 or floor(s n) < 1.
+    """
     try:
-        return math.floor(s * n)
-    except OverflowError:  # s * n is a float; n may have thousands of digits
-        raise ValueError(f"{flag} is too large for a float") from None
+        return bounds.BoundParams(s=s, n=n)
+    except ValueError as exc:
+        why = str(exc)
+    if why.startswith("s must"):
+        raise ValueError(f"--{why}")
+    if "too large for a float" in why:
+        raise ValueError(f"{flag} is too large for a float")
+    raise ValueError(too_small)
 
 
 def _table_psi1(args) -> tuple[list[str], list[list], bool]:
@@ -184,10 +238,11 @@ def _table_psi1(args) -> tuple[list[str], list[list], bool]:
 def _table_increments(args) -> tuple[list[str], list[list], bool]:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= --n-min <= --n-max")
-    if _floor_sn(args.s, args.n_min, "--n-min") < 1:
-        raise ValueError("--n-min too small: floor(s*n) must be >= 1")
-    a_max = _floor_sn(args.s, args.n_max, "--n-max")
-    table = primes.build_table(2 * a_max + 2 * args.n_max)
+    # --n-max >= --n-min, so only --n-min can be too small.
+    too_small = "--n-min too small: floor(s*n) must be >= 1"
+    _bound_params(args.s, args.n_min, "--n-min", too_small)
+    last = _bound_params(args.s, args.n_max, "--n-max", too_small)
+    table = primes.build_table(2 * last.a + 2 * args.n_max)
     rows_out = []
     ok = True
     for n in range(args.n_min, args.n_max + 1):
@@ -199,13 +254,12 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
 
 def _table_gap(args) -> tuple[list[str], list[list], bool]:
     ns = _parse_int_list(args.n, "--n")
-    if any(_floor_sn(args.s, n, "--n") < 1 for n in ns):
-        raise ValueError("every --n must satisfy floor(s*n) >= 1")
+    windows = [_bound_params(args.s, n, "--n", "every --n must satisfy floor(s*n) >= 1") for n in ns]
     f = bounds.f_coeff(args.s)
     rows_out = []
-    for n in ns:
-        r = bounds.log_delta(bounds.BoundParams(s=args.s, n=n)) / (n * n)
-        rows_out.append([n, r, f, abs(r - f)])  # gap, as bounds.asymptotic_gap
+    for w in windows:
+        r = bounds.log_delta(w) / (w.n * w.n)
+        rows_out.append([w.n, r, f, abs(r - f)])  # gap, as bounds.asymptotic_gap
     return ["n", "log_delta_over_n2", "f_limit", "gap"], rows_out, True
 
 
@@ -262,9 +316,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalise and re-raise
         # for real process use while keeping main() callable in-process.

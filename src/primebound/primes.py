@@ -19,19 +19,21 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
   makes it monotone.
 * psi_1(m) = sum_{j<=m} psi(j), summed the same way over the *stored* psi
   floats.  psi_1 is linear on each run, so the table keeps only S_k, the
-  exact psi_1 before run k, as int64 limbs from one scan over the run
-  totals.  :func:`psi1` and :func:`psi1_increment` read psi_1(m) =
-  S_k + (m - start_k + 1) psi(m) as a Python int and round it once to
-  (hi, lo): hi correctly rounded and lo the exact remainder, for every
-  limit up to ``MAX_LIMIT`` = 9e7.  So the increment psi_1(m) - psi_1(m-1)
-  equals the stored psi(m) exactly, bit for bit, which
-  :func:`psi1_increment` exposes.
+  exact psi_1 before run k, as int64 limbs from a scan over the run
+  totals.  Both scans walk the runs in cache-sized blocks, the psi sum of a
+  block just before its run totals, each continuing from the exact limb
+  totals of the block before.  :func:`psi1` and :func:`psi1_increment`
+  read psi_1(m) = S_k + (m - start_k + 1) psi(m) as a Python int and round
+  it once to (hi, lo): hi correctly rounded and lo the exact remainder,
+  for every limit up to ``MAX_LIMIT`` = 9e7.  So the increment
+  psi_1(m) - psi_1(m-1) equals the stored psi(m) exactly, bit for bit,
+  which :func:`psi1_increment` exposes.
 * The dense arrays, 8 bytes per integer each, are built only on first
   access: ``mangoldt_base`` and ``psi_cum`` from the runs, and the pair
   ``psi1_hi/psi1_lo`` (``increment_check`` reads them) by the only dense
-  scan, over cache-sized blocks of psi expanded from the runs, each block
-  continuing from the exact limb totals of the one before.  :func:`psi`,
-  :func:`psi1` and :func:`mangoldt` read the runs and build none of them.
+  scan, over cache-sized blocks of psi expanded from the runs, continued
+  from block to block in the same way.  :func:`psi`, :func:`psi1` and
+  :func:`mangoldt` read the runs and build none of them.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -62,9 +64,11 @@ _LCM: list[int] = [1, 1]
 # Limb sums are exact while psi_1(limit) < 2^52; psi(m) < 1.03883 m gives psi_1(9e7) < 4.3e15.
 MAX_LIMIT = 90_000_000
 
-# Entries per block of the psi_1 scan.  Of 2^12..2^18 timed at limits 632,456,
-# 4e6 and 1e7 on a 2-core VM (best of 3 to 9, two sweeps), 2^13..2^15 tied
-# within noise; 2^12 and 2^18 were slowest.
+# Runs per block of build_table's two scans, and entries per block of the
+# dense psi_1 scan.  Of 2^13..2^16 timed for the build at limits 632,456, 4e6
+# and 1e7 on a 2-core VM (best of 9 to 12, three sweeps), 2^15 was fastest at
+# 4e6 and 1e7 in the interleaved sweep and 2^13 at 632,456, so none won at all
+# three; for the dense scan, 2^12 and 2^18 were slowest of 2^12..2^18.
 _BLOCK = 1 << 15
 
 
@@ -192,18 +196,24 @@ def build_table(limit: int) -> PrimeTable:
         raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {_shown(limit)}")
     starts, powers, roots = _mangoldt_base(limit)
     # Lambda at each prime power, logged in place: ln p at p^k, and ln 1 = 0
-    # on the run before 2; summed once, each sum is psi on its run.
+    # on the run before 2; summed, each sum is psi on its run.
     run_psi = starts.astype(np.float64)
     run_psi[0] = 1.0
     run_psi[starts.searchsorted(powers)] = roots
-    np.log(run_psi, out=run_psi)
-    _exact_prefix_sum(run_psi, np.zeros(2, dtype=np.int64), run_psi)
-    # S_k is the sum of the run totals len_j psi_j over j < k.  Every run but
-    # the last is a gap between prime powers, far below _limbs' 2^20 at
-    # limit <= MAX_LIMIT, so each product is exact.
-    lengths = np.diff(starts, append=limit + 1)
-    top, low = (np.concatenate(([0], limb)) for limb in _limbs(run_psi[:-1], lengths[:-1]))
-    _carry_scan(top, low, np.zeros(2, dtype=np.int64))
+    # S_k is the sum of the run totals len_j psi_j over j < k, so S_0 = 0.
+    # Every run but the last is a gap between prime powers, far below _limbs'
+    # 2^20 at limit <= MAX_LIMIT, so each product is exact.  Both sums run a
+    # block of runs at a time, each carry holding the exact total so far.
+    top, low = np.zeros(starts.size, dtype=np.int64), np.zeros(starts.size, dtype=np.int64)
+    psi_carry, s_carry = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    for a in range(0, starts.size, _BLOCK):
+        block = run_psi[a : a + _BLOCK]
+        np.log(block, out=block)
+        _exact_prefix_sum(block, psi_carry, block)
+        b = min(a + _BLOCK, starts.size - 1)  # the last run ends no S_k
+        t, lo = _limbs(run_psi[a:b], np.diff(starts[a : b + 1]))
+        _carry_scan(t, lo, s_carry)
+        top[a + 1 : b + 1], low[a + 1 : b + 1] = t, lo
     for arr in (starts, run_psi, top, low, powers, roots):
         arr.setflags(write=False)
     return PrimeTable(

@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, formats, golden files, determinism."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -241,6 +243,74 @@ _ARGPARSE_REFUSES = [
     ["bogus-command"],
     [],
 ]
+
+
+# ----------------------------------------------------------------------
+# argument parsing: one subcommand's parser, the full tree's bytes
+# ----------------------------------------------------------------------
+
+_TINY_VERIFY = ["verify", "--suite", "identities", "--max-n", "2", "--max-ab", "2", "--count", "2"]
+
+_PARSE_CASES = [
+    ["-h"],
+    [],
+    ["bogus"],
+    *([name, "-h"] for name in cli._SUBCOMMANDS),
+    ["sieve", "--limit", "50", "extra"],
+    ["optimize", "extra"],
+    ["sieve", "--lim", "50"],
+    ["table", "--k", "psi1", "--x", "10,20"],
+    ["sieve", "--limit", "50", "--format=json"],
+    [*_TINY_VERIFY, "--format=csv"],
+    ["sieve", "--limit", "40", "--limit", "50"],
+    [*_TINY_VERIFY, "--max-n", "1", "--max-n", "3"],
+    ["table", "--kind", "increments", "--n-max", "6", "--kind", "psi1", "--x", "7"],
+    ["sieve", "--"],
+    ["sieve", "--limit", "50", "--"],
+    ["sieve", "--", "--limit", "50"],
+    ["--", "sieve"],
+    ["table", "--kind", "nope"],
+    ["optimize", "--tol"],
+]
+
+
+def _full_tree_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"elapsed.*", "elapsed", text)
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES)
+def test_subcommand_parser_matches_full_tree(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", _full_tree_parse)
+    want_code, want_out, want_err = run_cli(capsys, argv)
+    assert (code, _masked(out), err) == (want_code, _masked(want_out), want_err)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, parsers",
+    [
+        (["sieve", "--limit", "100", "--format", "json"], 0, 1),
+        ([*_TINY_VERIFY, "--format", "json"], 0, 1),
+        # No command: the full tree, the top-level parser and one per subcommand.
+        ([], 2, 1 + len(cli._SUBCOMMANDS)),
+    ],
+)
+def test_valid_call_builds_one_parser(capsys, monkeypatch, argv, exit_code, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == exit_code
+    assert len(built) == parsers, built
 
 
 @pytest.mark.parametrize(

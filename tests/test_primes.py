@@ -364,6 +364,22 @@ def test_tables_exact_across_block_boundaries(limit):
                 assert primes.psi1_increment(t, m) == primes.psi(t, m), m
 
 
+# build_table scans the runs B at a time: at these limits the last run
+# falls just before, on and just after the edge of the first and second block.
+@pytest.mark.parametrize("runs", [k * B + d for k in (1, 2) for d in (-1, 0, 1)])
+def test_build_exact_across_run_block_boundaries(table_million, runs):
+    limit = table_million.run_start.item(runs - 1)
+    t = primes.build_table(limit)
+    assert t.run_start.size == runs
+    assert not _exact_sum_mismatches(t)
+    # S_k against Python-int sums of the run totals len_j * psi_j * 2^53.
+    q = 2**53
+    lengths = np.diff(t.run_start, append=limit + 1).tolist()
+    sums = itertools.accumulate((n * int(x * q) for n, x in zip(lengths, t.run_psi.tolist())), initial=0)
+    limbs = zip(t.run_psi1_top.tolist(), t.run_psi1_low.tolist(), strict=True)
+    assert [(top << exact._LOW) + low for top, low in limbs] == list(sums)[:-1]
+
+
 def test_build_table_peak_memory_is_its_sparse_arrays():
     # The build writes no array of length limit + 1: its peak is the eager
     # run arrays, the odd-only sieve (one byte per odd number) and run-sized
