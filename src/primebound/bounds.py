@@ -240,9 +240,10 @@ def increment_check(table: PrimeTable, params: BoundParams, offset: int = 0) -> 
     version obtained because psi is nondecreasing.  offset must be an
     ``int`` and both ends must lie inside the table; the ends are then
     integers in [0, limit], so psi_1 is read straight from
-    ``table.psi1_hi``, which the first check on a table builds.  ``holds``
-    allows 1e-6 of slack: both sides are logs of exact integers, so the
-    slack only absorbs float rounding.
+    ``table.psi1_hi``, which the first check on a table fills by the
+    table's one psi_1 read, ``primes._psi1_at``.  ``holds`` allows 1e-6 of
+    slack: both sides are logs of exact integers, so the slack only
+    absorbs float rounding.
     """
     if not isinstance(offset, int):
         raise ValueError(f"offset must be an integer, got {offset!r}")

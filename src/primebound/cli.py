@@ -37,7 +37,7 @@ import sys
 import time
 
 from . import bounds, primes, report, suites
-from .exact import log_int
+from .exact import _shown, log_int
 
 _FORMATS = ("text", "json", "csv")
 
@@ -229,6 +229,8 @@ def _table_psi1(args) -> tuple[list[str], list[list], bool]:
     if args.c_star is not None and not math.isfinite(args.c_star):
         raise ValueError(f"--c-star must be finite, got {args.c_star}")
     table = primes.build_table(max(xs))
+    if args.c_star is not None and not math.isfinite(args.c_star * table.limit * table.limit):
+        raise ValueError(f"--c-star too large: c* x^2 overflows a float at x = {table.limit}")
     rows_out = []
     for row in bounds.empirical_table(table, xs, c_star=args.c_star):
         rows_out.append([row.x, row.psi1, row.bound, row.ratio])
@@ -242,7 +244,13 @@ def _table_increments(args) -> tuple[list[str], list[list], bool]:
     too_small = "--n-min too small: floor(s*n) must be >= 1"
     _bound_params(args.s, args.n_min, "--n-min", too_small)
     last = _bound_params(args.s, args.n_max, "--n-max", too_small)
-    table = primes.build_table(2 * last.a + 2 * args.n_max)
+    top = 2 * last.a + 2 * args.n_max
+    if top > primes.MAX_LIMIT:
+        raise ValueError(
+            f"--n-max too large: its window reaches 2a+2n = {_shown(top)}, "
+            f"past the sieve limit {primes.MAX_LIMIT}"
+        )
+    table = primes.build_table(top)
     rows_out = []
     ok = True
     for n in range(args.n_min, args.n_max + 1):

@@ -13,8 +13,9 @@ care goes, and the rules used throughout the package are:
 * every long running sum (psi and psi_1 in ``primes``, ln G(n+1) here)
   adds nonnegative multiples of 2^-53 and goes through one exact
   integer-limb carry scan, :func:`_carry_scan` (through
-  :func:`_exact_prefix_sum` where the sums are wanted as floats), so each
-  stored partial sum is the exact sum of its float terms, correctly
+  :func:`_exact_prefix_sum` where the sums are wanted as floats), and every
+  exact limb sum becomes a float through one split, :func:`_floats`, so
+  each stored partial sum is the exact sum of its float terms, correctly
   rounded; short sums use ``math.fsum``;
 * logarithms of integers too large for float conversion are split as
   ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
@@ -63,7 +64,8 @@ def _limbs(values: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndar
     top = np.trunc(low)
     low -= top  # exact: the fraction of a nonnegative float is a float
     low *= 2.0**_LOW
-    top, low = top.astype(np.int64), low.astype(np.int64)
+    top = top.astype(np.int64)  # one at a time: the float top is freed before low converts
+    low = low.astype(np.int64)
     if scale is not None:
         if scale.max(initial=0) > _MAX_SCALE:
             raise ValueError(f"limb factor {scale.max()} exceeds 2^20: a product would overflow")
@@ -96,32 +98,44 @@ def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
         carry[:] = t[-1], lo[-1]
 
 
-def _exact_prefix_sum(
-    values: np.ndarray, carry: np.ndarray, hi: np.ndarray, lo: np.ndarray | None = None
-) -> None:
+def _floats(
+    top: np.ndarray, low: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(top * 2^43 + low) / 2^53, low < 2^43, as (hi, lo): hi correctly rounded, lo its exact rest.
+
+    Each value is a + b, a = (top >> 9) * 2^52 and b = ((top & 511) << 43) | low
+    < 2^52 both exact floats, so hi = fl(a + b) is correctly rounded and
+    lo = b - (hi - a) is its exact tail (fast two-sum: a = 0 or a > b).  Exact
+    for values below 2^52.  hi is written to ``out`` when given; ``top`` and
+    ``low`` are overwritten.
+    """
+    low |= (top & 511) << _LOW
+    b = low.astype(np.float64)
+    top >>= 9
+    a = top.astype(np.float64)
+    a *= 2.0**52
+    hi = np.add(a, b, out=out)
+    a -= hi  # exactly -(hi - a), so b becomes b - (hi - a)
+    b += a
+    hi /= 2.0**53
+    b /= 2.0**53
+    return hi, b
+
+
+def _exact_prefix_sum(values: np.ndarray, carry: np.ndarray, hi: np.ndarray) -> None:
     """Continue an inclusive prefix sum of nonnegative multiples of 2^-53.
 
     ``values * 2^53`` is split into two int64 limbs by :func:`_limbs` and
     summed by :func:`_carry_scan`, which continues from ``carry``, the limbs
-    of total * 2^53 before ``values``, and advances it.  Each sum is a + b,
-    a = (top >> 9) * 2^52 and b = ((top & 511) << 43) | low < 2^52 both exact
-    floats, so hi = fl(a + b) is correctly rounded and lo = b - (hi - a),
-    when asked for, is its exact tail (fast two-sum: a = 0 or a > b).  Exact
-    for totals below 2^52.  ``hi`` may be ``values``.
+    of total * 2^53 before ``values``, and advances it.  :func:`_floats`
+    writes each sum to ``hi``, correctly rounded.  Exact for totals below
+    2^52.  ``hi`` may be ``values``.
     """
     for start in range(0, values.size, _SCAN_LEN):
         part = slice(start, start + _SCAN_LEN)
         top, low = _limbs(values[part])
         _carry_scan(top, low, carry)
-        low |= (top & 511) << _LOW
-        b = low.astype(np.float64)
-        a = (top >> 9).astype(np.float64) * 2.0**52
-        np.add(a, b, out=hi[part])
-        if lo is not None:
-            a -= hi[part]  # exactly -(hi - a), so lo becomes b - (hi - a)
-            np.add(b, a, out=lo[part])
-            lo[part] /= 2.0**53
-        hi[part] /= 2.0**53
+        _floats(top, low, hi[part])
 
 
 def _grow_log_table(k: int) -> None:

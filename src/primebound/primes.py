@@ -22,18 +22,18 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
   exact psi_1 before run k, as int64 limbs from a scan over the run
   totals.  Both scans walk the runs in cache-sized blocks, the psi sum of a
   block just before its run totals, each continuing from the exact limb
-  totals of the block before.  :func:`psi1` and :func:`psi1_increment`
-  read psi_1(m) = S_k + (m - start_k + 1) psi(m) as a Python int and round
-  it once to (hi, lo): hi correctly rounded and lo the exact remainder,
-  for every limit up to ``MAX_LIMIT`` = 9e7.  So the increment
+  totals of the block before.
+* Every read of psi_1 is one vector read, :func:`_psi1_at`: it sums
+  psi_1(m) = S_k + (m - start_k + 1) psi(m) exactly in limbs and rounds it
+  once to (hi, lo), hi correctly rounded and lo the exact remainder, for
+  every limit up to ``MAX_LIMIT`` = 9e7.  So the increment
   psi_1(m) - psi_1(m-1) equals the stored psi(m) exactly, bit for bit,
   which :func:`psi1_increment` exposes.
 * The dense arrays, 8 bytes per integer each, are built only on first
-  access: ``mangoldt_base`` and ``psi_cum`` from the runs, and the pair
-  ``psi1_hi/psi1_lo`` (``increment_check`` reads them) by the only dense
-  scan, over cache-sized blocks of psi expanded from the runs, continued
-  from block to block in the same way.  :func:`psi`, :func:`psi1` and
-  :func:`mangoldt` read the runs and build none of them.
+  access, from the runs: ``mangoldt_base``, ``psi_cum``, and ``psi1_hi``,
+  which ``increment_check`` reads and :func:`_psi1_at` fills a block at a
+  time.  :func:`psi`, :func:`psi1` and :func:`mangoldt` read the runs and
+  build none of them.
 
 lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
 and a prime-power product) specifically so they can be played against
@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import _LOW, _carry_scan, _exact_prefix_sum, _limbs, _shown
+from .exact import _LOW, _carry_scan, _exact_prefix_sum, _floats, _limbs, _shown
 
 _LCM_CACHE_MAX = 2048
 
@@ -65,10 +65,11 @@ _LCM: list[int] = [1, 1]
 MAX_LIMIT = 90_000_000
 
 # Runs per block of build_table's two scans, and entries per block of the
-# dense psi_1 scan.  Of 2^13..2^16 timed for the build at limits 632,456, 4e6
+# psi1_hi fill.  Of 2^13..2^16 timed for the build at limits 632,456, 4e6
 # and 1e7 on a 2-core VM (best of 9 to 12, three sweeps), 2^15 was fastest at
 # 4e6 and 1e7 in the interleaved sweep and 2^13 at 632,456, so none won at all
-# three; for the dense scan, 2^12 and 2^18 were slowest of 2^12..2^18.
+# three.  For the fill, 2^13..2^15 were within 10% of each other at 1e6 and
+# 1e7 (best of 5 to 9, two sweeps), and 2^16..2^18 were slowest at 1e7.
 _BLOCK = 1 << 15
 
 
@@ -133,10 +134,10 @@ class PrimeTable:
         int64; entry m is p when m = p^k, else 0.
     psi_cum:
         float64; psi(m), run_psi expanded over every m.
-    psi1_hi, psi1_lo:
-        float64; psi_1(m) summed exactly over the stored psi values: hi
-        correctly rounded, lo the exact remainder (limits <= MAX_LIMIT).
-        One blocked scan fills both, without building psi_cum.
+    psi1_hi:
+        float64; psi_1(m) summed exactly over the stored psi values and
+        correctly rounded (limits <= MAX_LIMIT): the hi of :func:`_psi1_at`,
+        filled a block at a time, without building psi_cum.
 
     Each is frozen and, once built, a plain instance attribute.
     """
@@ -149,13 +150,6 @@ class PrimeTable:
     powers: np.ndarray
     roots: np.ndarray
 
-    def _psi_span(self, start: int, stop: int) -> np.ndarray:
-        """psi(m) for start <= m < stop, expanded from the runs."""
-        k = int(self.run_start.searchsorted(start, "right")) - 1
-        edges = self.run_start[k : self.run_start.searchsorted(stop)].copy()
-        edges[0] = start
-        return np.repeat(self.run_psi[k : k + edges.size], np.diff(edges, append=stop))
-
     @cached_property
     def mangoldt_base(self) -> np.ndarray:
         base = np.zeros(self.limit + 1, dtype=np.int64)
@@ -167,27 +161,18 @@ class PrimeTable:
 
     @cached_property
     def psi_cum(self) -> np.ndarray:
-        psi = self._psi_span(0, self.limit + 1)
+        psi = np.repeat(self.run_psi, np.diff(self.run_start, append=self.limit + 1))
         psi.setflags(write=False)
         return psi
 
     @cached_property
     def psi1_hi(self) -> np.ndarray:
-        hi, lo = np.empty(self.limit + 1), np.empty(self.limit + 1)
-        carry = np.zeros(2, dtype=np.int64)
-        # psi_1 is the exact running sum of the *stored* psi values, not of exact psi.
+        hi = np.empty(self.limit + 1)
         for start in range(0, self.limit + 1, _BLOCK):
             stop = min(start + _BLOCK, self.limit + 1)
-            _exact_prefix_sum(self._psi_span(start, stop), carry, hi[start:stop], lo[start:stop])
+            hi[start:stop] = _psi1_at(self, np.arange(start, stop))[0]
         hi.setflags(write=False)
-        lo.setflags(write=False)
-        vars(self)["psi1_lo"] = lo  # the same scan fills both
         return hi
-
-    @cached_property
-    def psi1_lo(self) -> np.ndarray:
-        self.psi1_hi  # stores psi1_lo beside it
-        return vars(self)["psi1_lo"]
 
 
 def build_table(limit: int) -> PrimeTable:
@@ -250,54 +235,43 @@ def _integer_index(table: PrimeTable, m: int, name: str) -> int:
     return _check_range(table, idx, 1)
 
 
-def _run(table: PrimeTable, m: int) -> int:
-    """The run holding m, for 0 <= m <= limit."""
-    return int(table.run_start.searchsorted(m, "right")) - 1
+def _run(table: PrimeTable, m):
+    """The run holding m, for 0 <= m <= limit; an array of runs for an array of m."""
+    return table.run_start.searchsorted(m, "right") - 1
 
 
-def _psi1_sums(table: PrimeTable, m: int) -> tuple[int, int]:
-    """2^53 psi_1(m - 1) and 2^53 psi_1(m) as exact Python ints, for 0 <= m <= limit.
+def _psi1_at(table: PrimeTable, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi_1(m) for each m of the int64 array ms (0 <= m <= limit) as (hi, lo).
 
-    psi is constant on the run holding m, so both are S_k plus whole steps
-    of the stored psi(m).
+    One ``searchsorted`` finds each run k.  psi is constant on it, so
+    2^53 psi_1(m) is the stored S_k plus m - run_start[k] + 1 steps of the
+    stored psi(m), summed exactly in limbs (the step count is at most a run
+    length, below ``_limbs``' 2^20); :func:`exact._floats` rounds it once,
+    hi correctly rounded and lo the exact rest.  psi_1 is the sum of the
+    *stored* psi values, not of exact psi.
     """
-    k = _run(table, m)
-    before = (table.run_psi1_top.item(k) << _LOW) + table.run_psi1_low.item(k)
-    step = int(table.run_psi.item(k) * 2.0**53)
-    j = m - table.run_start.item(k)
-    return before + j * step, before + (j + 1) * step
-
-
-def _rounded(s: int) -> tuple[float, float]:
-    """s / 2^53 as (hi, lo): hi correctly rounded (half to even), lo the exact rest."""
-    hi = s / 2**53
-    return hi, (s - int(hi * 2.0**53)) / 2**53
+    k = _run(table, ms)
+    top, low = _limbs(table.run_psi[k], ms - table.run_start[k] + 1)
+    top += table.run_psi1_top[k]
+    low += table.run_psi1_low[k]
+    top += low >> _LOW
+    low &= (1 << _LOW) - 1
+    return _floats(top, low)
 
 
 def _psi1_increments(table: PrimeTable, first: int, last: int) -> list[tuple[float, float]]:
     """(psi_1(m) - psi_1(m-1) from the (hi, lo) pairs, stored psi(m)) for 1 <= first <= m <= last.
 
-    One lookup finds the runs of first and last.  From 2^53 psi_1(first - 1)
-    the exact sum grows by the stored psi of each run it walks; each sum is
-    rounded once, and ``math.fsum`` rounds the exact difference of the four
-    limbs at m and m - 1 once.
+    One read gives the pairs at first - 1 ... last, and ``math.fsum``
+    rounds the exact difference of the four limbs at m and m - 1 once.
     """
-    k, end = (table.run_start.searchsorted((first, last), "right") - 1).tolist()
-    starts = table.run_start[k : end + 1].tolist()
-    edges = [first, *starts[1:], last + 1]
-    psis = table.run_psi[k : end + 1].tolist()
-    s = (table.run_psi1_top.item(k) << _LOW) + table.run_psi1_low.item(k)
-    s += (first - starts[0]) * int(psis[0] * 2.0**53)
-    hi0, lo0 = _rounded(s)
-    out = []
-    for psi_m, start, stop in zip(psis, edges, edges[1:]):
-        step = int(psi_m * 2.0**53)
-        for _ in range(start, stop):
-            s += step
-            hi1, lo1 = _rounded(s)
-            out.append((math.fsum((hi1, -hi0, lo1, -lo0)), psi_m))
-            hi0, lo0 = hi1, lo1
-    return out
+    ms = np.arange(first - 1, last + 1)
+    hi, lo = (v.tolist() for v in _psi1_at(table, ms))
+    psis = table.run_psi[_run(table, ms[1:])].tolist()
+    return [
+        (math.fsum((h1, -h0, l1, -l0)), p)
+        for h1, h0, l1, l0, p in zip(hi[1:], hi, lo[1:], lo, psis)
+    ]
 
 
 def mangoldt(table: PrimeTable, m: int) -> int | None:
@@ -324,18 +298,18 @@ def psi1(table: PrimeTable, x: float) -> float:
     Read from the run sums, not the dense arrays, and rounded once: the
     same float as ``table.psi1_hi[floor(x)]``.
     """
-    return _psi1_sums(table, _check_range(table, x, 0))[1] / 2**53
+    return _psi1_at(table, np.array([_check_range(table, x, 0)]))[0].item()
 
 
 def psi1_increment(table: PrimeTable, m: int) -> float:
     """psi_1(m) - psi_1(m-1) from the (hi, lo) pairs, rounded once.
 
-    Both pairs come from the run sums, each exact sum rounded once, so
-    they are the pairs ``psi1_hi``/``psi1_lo`` hold, and no dense array is
-    built.  hi + lo is each exact psi_1 sum, and ``math.fsum`` rounds the
-    exact difference of the four limbs once, so this equals the stored
-    psi(m) bit for bit; it exists so that consumers (and tests) can
-    witness the identity without re-deriving the accumulation scheme.
+    Both pairs come from :func:`_psi1_at`, each exact sum rounded once,
+    and no dense array is built.  hi + lo is each exact psi_1 sum, and
+    ``math.fsum`` rounds the exact difference of the four limbs once, so
+    this equals the stored psi(m) bit for bit; it exists so that consumers
+    (and tests) can witness the identity without re-deriving the
+    accumulation scheme.
     Requires 1 <= m <= limit.
     """
     m = _integer_index(table, m, "psi1_increment")

@@ -405,7 +405,7 @@ def test_asymptotic_gap_evaluates_log_delta_once_per_row(capsys, monkeypatch):
     ],
 )
 def test_increments_past_sieve_limit_exits_two(capsys, monkeypatch, s, n_max, refused):
-    # Refused by build_table before it allocates; an accepted limit reaches the stub.
+    # Refused in --n-max's terms before the sieve; an accepted limit reaches the stub.
     def no_sieve(limit):
         raise ValueError("stub: sieve reached")
 
@@ -416,7 +416,15 @@ def test_increments_past_sieve_limit_exits_two(capsys, monkeypatch, s, n_max, re
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: build_table requires" if refused else "error: stub: sieve reached")
+    assert err.startswith("error: --n-max too large" if refused else "error: stub: sieve reached")
+
+
+def test_increments_window_past_sieve_limit_names_n_max(capsys):
+    argv = ["table", "--kind", "increments", "--s", "1", "--n-max", "40000000"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --n-max too large: its window reaches 2a+2n = 160000000, " \
+        f"past the sieve limit {cli.primes.MAX_LIMIT}\n"
 
 
 @pytest.mark.parametrize("c_star", ["nan", "inf", "-inf"])
@@ -581,11 +589,11 @@ def test_optimize_matches_golden(capsys):
 
 def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
     # sieve and table --kind psi1 read psi, psi_1 and Lambda at points from
-    # the runs; increment_check reads the dense psi_1 pair, built on its
-    # first window.  No command builds mangoldt_base or psi_cum.
+    # the runs; increment_check reads psi1_hi, built on its first window.
+    # No command builds mangoldt_base or psi_cum.
     built = []
     build = cli.primes.build_table
-    dense = {"mangoldt_base", "psi_cum", "psi1_hi", "psi1_lo"}
+    dense = {"mangoldt_base", "psi_cum", "psi1_hi"}
 
     def capture(limit):
         built.append(build(limit))
@@ -596,7 +604,7 @@ def test_only_increments_build_the_dense_psi1_arrays(capsys, monkeypatch):
     for argv in (["sieve", "--limit", "100000"], ["table", "--kind", "psi1"],
                  ["table", "--kind", "increments"]):
         assert run_cli(capsys, argv)[0] == 0
-    assert [dense & vars(t).keys() for t in built] == [set(), set(), {"psi1_hi", "psi1_lo"}]
+    assert [dense & vars(t).keys() for t in built] == [set(), set(), {"psi1_hi"}]
 
 
 def test_table_increments_csv_matches_golden(capsys):

@@ -136,6 +136,15 @@ def test_huge_limit_is_named_by_its_digit_count(capsys):
     assert line.endswith("got an integer of 400 digits")
 
 
+def test_c_star_whose_bound_overflows_is_refused(capsys):
+    # --c-star is finite, but c* x^2 is not: the bound column would print Infinity.
+    line = _error_line(capsys, ["table", "--kind", "psi1", "--c-star", "1e308", "--format", "json"])
+    assert line == "error: --c-star too large: c* x^2 overflows a float at x = 10000"
+    line = _error_line(capsys, ["table", "--kind", "psi1", "--x", "3", "--c-star=-1e308"])
+    assert line == "error: --c-star too large: c* x^2 overflows a float at x = 3"
+    assert cli.main(["table", "--kind", "psi1", "--x", "3", "--c-star", "1e307"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, start",
     [

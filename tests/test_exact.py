@@ -272,18 +272,17 @@ def test_exact_prefix_sum_matches_python_ints(terms, cuts, scan_len):
     values = np.array([x / q for x in ints])
     edges = [0, *sorted(c for c in cuts if c < len(ints)), len(ints)]
     blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    hi, lo, in_place = np.empty_like(values), np.empty_like(values), values.copy()
+    hi, in_place = np.empty_like(values), values.copy()
     carry, carry_in_place = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_SCAN_LEN", scan_len)
         for block in blocks:
-            exact._exact_prefix_sum(values[block], carry, hi[block], lo[block])
+            exact._exact_prefix_sum(values[block], carry, hi[block])
             exact._exact_prefix_sum(in_place[block], carry_in_place, in_place[block])
     total = 0
-    for x, h, l, h2 in zip(ints, hi.tolist(), lo.tolist(), in_place.tolist()):
+    for x, h, h2 in zip(ints, hi.tolist(), in_place.tolist()):
         total += x
         assert h == h2 == total / q
-        assert Fraction(h) + Fraction(l) == Fraction(total, q)
     top, low = carry.tolist()
     assert (top << 43) + low == total
     assert carry.tolist() == carry_in_place.tolist()
@@ -296,17 +295,29 @@ def test_exact_prefix_sum_empty_part_is_a_no_op(terms, k):
     # whole, bit for bit; the empty scan leaves the carry as it was.
     values = np.array([(m << e) / 2**53 for m, e in terms])
     k = min(k, len(values))
-    whole_hi, whole_lo, whole_carry = np.empty_like(values), np.empty_like(values), np.zeros(2, np.int64)
-    exact._exact_prefix_sum(values, whole_carry, whole_hi, whole_lo)
-    hi, lo, carry = np.empty_like(values), np.empty_like(values), np.zeros(2, np.int64)
+    whole_hi, whole_carry = np.empty_like(values), np.zeros(2, np.int64)
+    exact._exact_prefix_sum(values, whole_carry, whole_hi)
+    hi, carry = np.empty_like(values), np.zeros(2, np.int64)
     for part in (slice(0, k), slice(k, k), slice(k, None)):
         before = carry.copy()
-        exact._exact_prefix_sum(values[part], carry, hi[part], lo[part])
+        exact._exact_prefix_sum(values[part], carry, hi[part])
         if part.start == part.stop:
             assert carry.tolist() == before.tolist()
     assert hi.view(np.int64).tolist() == whole_hi.view(np.int64).tolist()
-    assert lo.view(np.int64).tolist() == whole_lo.view(np.int64).tolist()
     assert carry.tolist() == whole_carry.tolist()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**105 - 1) | st.integers(0, 2**54), min_size=1, max_size=20))
+def test_floats_of_limbs_are_the_correctly_rounded_head_and_exact_rest(totals):
+    # Each total * 2^-53, below 2^52, from its limbs top * 2^43 + low.
+    q = 2**53
+    top = np.array([x >> 43 for x in totals], dtype=np.int64)
+    low = np.array([x & (2**43 - 1) for x in totals], dtype=np.int64)
+    hi, lo = exact._floats(top, low)
+    for x, h, l in zip(totals, hi.tolist(), lo.tolist()):
+        assert h == x / q
+        assert Fraction(h) + Fraction(l) == Fraction(x, q)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

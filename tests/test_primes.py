@@ -8,6 +8,7 @@ reconstruction for the stored-increment identity.
 
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -60,29 +61,31 @@ def _bytearray_mangoldt_base(limit: int) -> list:
 
 
 def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
-    """Indices m where psi_cum, psi1_hi or psi1_lo differ from exact sums.
+    """Indices m where psi_cum or ``_psi1_at``'s (hi, lo) differ from exact sums.
 
     The sums are Python ints of x * 2^53, carried across chunks of
-    ``chunk`` entries so that memory stays small at any limit.
+    ``chunk`` entries so that memory stays small at any limit.  Each chunk
+    of sums becomes floats in one ``np.array`` call, which rounds as
+    ``float()`` does, so dividing by 2^53 gives each sum correctly rounded;
+    lo is compared exactly with the integer rest of each psi_1 sum.
     """
     q = 2**53
     s_psi = s_psi1 = 0
     bad = []
     for start in range(0, t.limit + 1, chunk):
-        part = slice(start, start + chunk)
-        lam = np.log(np.maximum(t.mangoldt_base[part], 1).astype(np.float64))
-        rows = zip(
-            lam.tolist(),
-            t.psi_cum[part].tolist(),
-            t.psi1_hi[part].tolist(),
-            t.psi1_lo[part].tolist(),
-            strict=True,
-        )
-        for m, (x, psi, hi, lo) in enumerate(rows, start):
-            s_psi += int(x * q)
-            s_psi1 += int(psi * q)
-            if s_psi / q != psi or s_psi1 / q != hi or lo * q != s_psi1 - int(hi * q):
-                bad.append(m)
+        ms = np.arange(start, min(start + chunk, t.limit + 1))
+        lam = np.log(np.maximum(t.mangoldt_base[ms], 1).astype(np.float64))
+        psi = t.psi_cum[ms]
+        # Times 2^53 (exact), each float is an integer, and int() takes it exactly.
+        psi_sums = [*itertools.accumulate(map(int, (lam * q).tolist()), initial=s_psi)][1:]
+        psi1_sums = [*itertools.accumulate(map(int, (psi * q).tolist()), initial=s_psi1)][1:]
+        s_psi, s_psi1 = psi_sums[-1], psi1_sums[-1]
+        hi, lo = primes._psi1_at(t, ms)
+        rests = list(map(operator.sub, psi1_sums, map(int, (hi * q).tolist())))
+        ok = np.array(psi_sums, dtype=np.float64) / q == psi
+        ok &= np.array(psi1_sums, dtype=np.float64) / q == hi
+        ok &= lo * q == np.array(rests, dtype=np.float64)
+        bad += ms[~ok].tolist()
     return bad
 
 
@@ -100,19 +103,6 @@ def _point_read_mismatches(t, ms) -> list:
 def _sampled(limit: int) -> list:
     """Every 997th index up to limit, and the last 300."""
     return sorted({*range(0, limit + 1, 997), *range(max(0, limit - 299), limit + 1)})
-
-
-def _point_route_mismatches(t, ms) -> list:
-    """Indices m where psi_1 read at m and at m - 1 from the run sums differs
-    from the dense arrays, comparing the bits of both limbs."""
-    hi, lo = t.psi1_hi.view(np.int64), t.psi1_lo.view(np.int64)
-    bad = []
-    for m in ms:
-        below, at = primes._psi1_sums(t, m)
-        want = [hi[m], lo[m], hi[m - 1], lo[m - 1]] if m else [hi[0], lo[0], 0, 0]
-        if np.array([*primes._rounded(at), *primes._rounded(below)]).view(np.int64).tolist() != want:
-            bad.append(m)
-    return bad
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +173,7 @@ def test_mangoldt_validation(table_small):
 def test_table_arrays_are_frozen(table_small):
     t = table_small
     for arr in (t.mangoldt_base, t.psi_cum, t.run_start, t.run_psi, t.run_psi1_top,
-                t.run_psi1_low, t.powers, t.roots, t.psi1_hi, t.psi1_lo):
+                t.run_psi1_low, t.powers, t.roots, t.psi1_hi):
         with pytest.raises(ValueError):
             arr[1] = 1
 
@@ -248,8 +238,8 @@ def test_psi1_increment_equals_stored_psi_small(table_small):
 
 def test_psi1_increment_equals_stored_psi_million(table_million):
     t = table_million
-    hi, lo = t.psi1_hi, t.psi1_lo
-    # Exact double-double difference of consecutive stored pairs.
+    hi, lo = primes._psi1_at(t, np.arange(t.limit + 1))
+    # Exact double-double difference of consecutive pairs.
     a, b = hi[1:], -hi[:-1]
     s = a + b
     bb = s - a
@@ -265,57 +255,33 @@ def test_tables_equal_exact_integer_sums(table_million):
 
     Each Lambda(m) and each stored psi(m) is 0 or at least ln 2, so times
     2^53 it is an exact integer S; S / 2**53 is then the correctly rounded
-    sum, and psi1_lo must hold the exact rest of psi1_hi.
+    sum, and the lo of ``_psi1_at`` must hold the exact rest of its hi.
     """
-    t = table_million
-    q = 2**53
-    lam = np.log(np.maximum(t.mangoldt_base, 1).astype(np.float64))
-    psi_sums = itertools.accumulate(int(x * q) for x in lam.tolist())
-    bad_psi = [
-        m for m, (s, got) in enumerate(zip(psi_sums, t.psi_cum.tolist(), strict=True))
-        if s / q != got
-    ]
-    assert not bad_psi, bad_psi[:5]
-    psi1_sums = itertools.accumulate(int(x * q) for x in t.psi_cum.tolist())
-    bad_psi1 = [
-        m
-        for m, (s, hi, lo) in enumerate(
-            zip(psi1_sums, t.psi1_hi.tolist(), t.psi1_lo.tolist(), strict=True)
-        )
-        if s / q != hi or lo * q != s - int(hi * q)
-    ]
-    assert not bad_psi1, bad_psi1[:5]
+    assert not _exact_sum_mismatches(table_million)
 
 
 B = primes._BLOCK
-DENSE = {"mangoldt_base", "psi_cum", "psi1_hi", "psi1_lo"}
+DENSE = {"mangoldt_base", "psi_cum", "psi1_hi"}
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 10, 2000, B - 1, B, B + 1, 100_000])
 def test_point_reads_equal_dense_arrays_at_every_index(limit):
     t = primes.build_table(limit)
     assert not DENSE & vars(t).keys()
-    assert not _point_route_mismatches(t, range(limit + 1))
     assert not _point_read_mismatches(t, range(limit + 1))
+    # psi1_hi is _psi1_at's hi, filled a block at a time; the oracle checks the read.
+    assert not _exact_sum_mismatches(t)
+    assert t.psi1_hi.tobytes() == primes._psi1_at(t, np.arange(limit + 1))[0].tobytes()
 
 
 def test_point_reads_equal_dense_arrays_million(table_million):
     t = table_million
     ms = _sampled(t.limit)
-    assert not _point_route_mismatches(t, ms)
     assert not _point_read_mismatches(t, ms)
     assert [primes.psi1(t, m) for m in ms] == t.psi1_hi[ms].tolist()
 
 
-def test_dense_psi1_is_built_once_whichever_array_is_read_first():
-    a, b = primes.build_table(100), primes.build_table(100)
-    lo, hi = a.psi1_lo, a.psi1_hi
-    assert not {"mangoldt_base", "psi_cum"} & vars(a).keys()
-    assert vars(a)["psi1_hi"] is hi and vars(a)["psi1_lo"] is lo
-    assert hi.tolist() == b.psi1_hi.tolist() and lo.tolist() == b.psi1_lo.tolist()
-
-
-@pytest.mark.parametrize("first", ["mangoldt_base", "psi_cum"])
+@pytest.mark.parametrize("first", ["mangoldt_base", "psi_cum", "psi1_hi"])
 def test_each_dense_array_is_built_once_whichever_is_read_first(first):
     # Neither array builds another; reading the rest leaves the first in place.
     t, ref = primes.build_table(B + 1), primes.build_table(B + 1)
@@ -328,15 +294,28 @@ def test_each_dense_array_is_built_once_whichever_is_read_first(first):
         assert built[name].tobytes() == getattr(ref, name).tobytes()
 
 
-def test_psi1_increments_walk_equals_dense_pairs(table_small):
-    # The walk over consecutive m against the four limbs of the dense scan,
-    # from the first index, inside one run, across many runs, and to the limit.
+def test_psi1_increments_equal_stored_psi_over_ranges(table_small):
+    # Each increment and each stored psi against psi(m), from the first
+    # index, inside one run, across many runs, and to the limit.
     t = table_small
-    hi, lo = t.psi1_hi.tolist(), t.psi1_lo.tolist()
     for first, last in ((1, 1), (1, 2000), (24, 28), (1024, 1024), (1800, 2000), (2000, 2000)):
-        want = [(math.fsum((hi[m], -hi[m - 1], lo[m], -lo[m - 1])), t.psi_cum[m])
-                for m in range(first, last + 1)]
+        want = [(psi, psi) for psi in t.psi_cum[first : last + 1].tolist()]
         assert primes._psi1_increments(t, first, last) == want, (first, last)
+
+
+def test_psi1_at_reads_unsorted_points_with_repeats(table_small):
+    # Against Python-int sums over an independent sieve's Lambda, in any
+    # order, with repeats, at 0 and at the limit.
+    t, q = table_small, 2**53
+    lam = np.log(np.maximum(_bytearray_mangoldt_base(t.limit), 1).astype(np.float64))
+    psi = [s / q for s in itertools.accumulate(int(x * q) for x in lam.tolist())]
+    sums = list(itertools.accumulate(int(x * q) for x in psi))
+    ms = [2000, 0, 17, 17, 1999, 0, 1024, 2000, 3, 2, 1, 1500, 2, 2000]
+    want_hi = [sums[m] / q for m in ms]
+    want_lo = [(sums[m] - int(h * q)) / q for m, h in zip(ms, want_hi)]
+    hi, lo = primes._psi1_at(t, np.array(ms))
+    assert hi.tobytes() == np.array(want_hi).tobytes()
+    assert lo.tobytes() == np.array(want_lo).tobytes()
 
 
 def test_run_sums_start_at_every_prime_power(table_small):
@@ -396,26 +375,24 @@ def test_build_table_peak_memory_is_its_sparse_arrays():
     assert peak <= arrays + (limit + 1) // 2 + 2 * 2**20, (peak, arrays)
 
 
-def test_dense_psi1_peak_memory_is_its_two_arrays():
-    # psi_1 is scanned a block at a time, so building the dense pair costs
-    # the pair plus block-sized temporaries: with mangoldt_base and psi_cum,
-    # the four arrays plus 2 MB.
+def test_dense_psi1_peak_memory_is_its_array():
+    # psi1_hi is filled a block at a time, so building it costs the array
+    # plus block-sized temporaries: with mangoldt_base and psi_cum, the
+    # three arrays plus 2 MB.
     t = primes.build_table(1_000_000)
     tracemalloc.start()
     try:
-        dense = (t.psi1_hi, t.psi1_lo)
+        hi = t.psi1_hi
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(a.nbytes for a in dense)
-    assert peak <= arrays + 2 * 2**20, (peak, arrays)
+    assert peak <= hi.nbytes + 2 * 2**20, (peak, hi.nbytes)
 
 
 @pytest.mark.slow
 def test_tables_equal_exact_integer_sums_ten_million():
     t = primes.build_table(10_000_000)
     assert not _exact_sum_mismatches(t)
-    assert not _point_route_mismatches(t, _sampled(t.limit))
     assert not _point_read_mismatches(t, _sampled(t.limit))
 
 
