@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from .determinants import HankelSpec, closed_form_det
 from .exact import _shown, log_superfactorial
-from .primes import PrimeTable, psi1
+from .primes import PrimeTable, _check_range, _psi1_at
 
 _EXACT_N_CAP = 200
 
@@ -283,12 +283,13 @@ def empirical_table(
     """
     if c_star is None:
         c_star = optimize_s(0.01, 0.99, 1e-9).c_star
-    rows = []
     for x in xs:
         if not isinstance(x, int) or x < 1:
             raise ValueError(f"table points must be integers >= 1, got {x!r}")
-        v = psi1(table, x)
-        rows.append(
-            EmpiricalRow(x=x, psi1=v, bound=c_star * x * x, ratio=v / (x * x))
-        )
-    return rows
+        _check_range(table, x, 0)
+    # One vector read: each value is the float psi1(table, x) returns.
+    values = _psi1_at(table, xs)[0].tolist()
+    return [
+        EmpiricalRow(x=x, psi1=v, bound=c_star * x * x, ratio=v / (x * x))
+        for x, v in zip(xs, values)
+    ]

@@ -61,7 +61,17 @@ already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! has the integer
 entries (x+2)_{j-1} (x+j+beta+1)_{n-j}, one prefix and one suffix product
 per row, as the lemma's rows are.  So an entry is never a Fraction there,
 and each value (a determinant, a closed form, a scaled entry) is one
-Fraction, reduced once.  :func:`fraction_det` (a matrix of ints and
+Fraction, reduced once.  The specialised lemma matrices and the
+consecutive-index rows x = 0..n-1 are nested too, up to a row scaling:
+the suffix product of a row at size N has N-n more factors than at size
+n, so the leading n x n block of the size-N matrix is the size-n matrix
+with row i times (i+alpha+beta+n-2)_{N-n}, respectively
+(x+beta+n+1)_{N-n}.  One elimination per (alpha, beta), respectively per
+beta, gives every n, each pivot divided exactly by its rows' scalings
+(:func:`_block_dets`).  No pivot is zero, because no determinant of
+either family is: the lemma product has no zero factor for beta >= 1,
+and distinct indices give a nonzero Vandermonde factor; a zero pivot or
+a remainder is refused as a fault.  :func:`fraction_det` (a matrix of ints and
 Fractions, cleared row by row) and a naive Fraction Gaussian elimination
 are kept as independent cross-checks, not as fast paths.
 """
@@ -73,7 +83,7 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,6 +211,29 @@ def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
+
+
+def _block_dets(rows: list[list[int]], growth: Callable[[int, int], int]) -> list[int]:
+    """det M_k for k = 1..N, where ``rows`` is M_N and its leading k x k block is M_k
+    with row i (0-based) times ``growth(i, k)``.
+
+    One elimination without row swaps: its k-th pivot is that block's
+    determinant (Sylvester's identity), divided exactly by the product of
+    the k row growths.  A zero pivot (the division property would fail)
+    or a remainder raises ``RuntimeError``: the callers' families have no
+    zero determinant, so either signals a fault.
+    """
+    dets = []
+    for k, pivot in enumerate(_bareiss_pivots(rows, swap=False), 1):
+        q, r = divmod(pivot, math.prod(growth(i, k) for i in range(k)))
+        if pivot == 0 or r:
+            raise RuntimeError(
+                f"leading {k} x {k} block of a nested lemma family has "
+                f"{'a zero minor' if pivot == 0 else 'a minor not divisible by its row growth'}; "
+                "this cannot happen for valid parameters and signals a fault"
+            )
+        dets.append(q)
+    return dets
 
 
 def _clear_rows(rows: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
@@ -418,6 +451,30 @@ def specialization_scale(spec: HankelSpec) -> Fraction:
     )
 
 
+def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int, int, int, int]]:
+    """For n = 1..max_n: (det M_n, the lemma product, prod_i (alpha+i-1)_{beta+n-1}, (beta-1)!^n).
+
+    M_n is the lemma matrix specialised as in :func:`specialize_to_hankel`;
+    the last two values are the numerator and denominator of
+    :func:`specialization_scale`.  Growing M_n to M_{n+1} multiplies every
+    entry of row i by X_i + A_{n+1}, so the leading n x n block of
+    M_max_n is M_n with row i times (i+alpha+beta+n-2)_{max_n-n}, and one
+    elimination gives every det M_n (:func:`_block_dets`).  The lemma
+    product is nonzero for beta >= 1 (each B_i - A_j = i-j-beta < 0), so
+    no leading block is singular and no row swap is needed.  The product
+    comes from the closed form, factor by factor, not from the elimination.
+    """
+    rows = krattenthaler_matrix(specialize_to_hankel(HankelSpec(alpha, beta, max_n)))
+    lhs = _block_dets(rows, lambda i, k: pochhammer(i + alpha + beta + k - 1, max_n - k))
+    sides, rhs, fact = [], 1, math.factorial(beta - 1)
+    for n, d in enumerate(lhs, 1):
+        # X_i - X_n for i < n, and B_i - A_n for 2 <= i <= n.
+        rhs *= math.prod(range(1 - n, 0)) * math.prod(range(2 - n - beta, -beta + 1))
+        scale = math.prod(pochhammer(alpha + i, beta + n - 1) for i in range(n))
+        sides.append((d, rhs, scale, fact**n))
+    return sides
+
+
 # ----------------------------------------------------------------------
 # lcm integrality inequalities
 # ----------------------------------------------------------------------
@@ -452,13 +509,18 @@ def improved_product(spec: HankelSpec) -> Fraction:
     """prod_i d_{alpha+beta+n+i-3} (n-i)! (beta+i-2)! / (alpha+i-1)_{beta+n-1}.
 
     Always >= 1; equals 1 exactly at the degenerate corners (e.g. alpha =
-    beta = 1 with n <= 2).  Reindexed, the non-lcm factor is det H, and it
-    is computed as :func:`closed_form_det`: this is det H times lcms by
-    construction, the determinant-level integrality statement.
+    beta = 1 with n <= 2).  Reindexed, the non-lcm factor is det H, the
+    determinant-level integrality statement.  It is computed row by row as
+    written, one integer over one product of Pochhammer symbols, reduced
+    once; the row factorials are smaller than :func:`closed_form_det`'s.
     """
     a, b, n = spec.alpha, spec.beta, spec.n
-    lcms = math.prod(lcm_upto(a + b + n + i - 3) for i in range(1, n + 1))
-    return closed_form_det(spec) * lcms
+    rows = range(1, n + 1)
+    top = math.prod(
+        lcm_upto(a + b + n + i - 3) * math.factorial(n - i) * math.factorial(b + i - 2)
+        for i in rows
+    )
+    return Fraction(top, math.prod(pochhammer(a + i - 1, b + n - 1) for i in rows))
 
 
 def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
@@ -544,6 +606,24 @@ def random_generalized(
 def consecutive_spec(alpha_two_n: int, beta: int) -> GeneralizedSpec:
     """x_i = i - 1 for i = 1..n: the generalized identity collapses to alpha = 2."""
     return GeneralizedSpec(xs=tuple(range(alpha_two_n)), beta=beta)
+
+
+def consecutive_lhs(beta: int, max_n: int) -> list[Fraction]:
+    """:func:`generalized_lhs` of ``consecutive_spec(n, beta)`` for n = 1..max_n.
+
+    The rows x = 0..max_n-1 of :func:`_generalized_row` at size max_n,
+    cut to their first n entries, are the size-n rows times
+    (x+beta+n+1)_{max_n-n}: one elimination gives every size
+    (:func:`_block_dets`).  Distinct indices give a nonzero Vandermonde
+    factor, so no leading block is singular.
+    """
+    rows = [_generalized_row(x, beta, max_n) for x in range(max_n)]
+    dets = _block_dets(rows, lambda x, k: pochhammer(x + beta + k + 1, max_n - k))
+    fact = math.factorial(beta - 1)
+    return [
+        Fraction(d * fact**n, math.prod(pochhammer(x + 2, beta + n - 1) for x in range(n)))
+        for n, d in enumerate(dets, 1)
+    ]
 
 
 # ----------------------------------------------------------------------

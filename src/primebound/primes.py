@@ -240,8 +240,8 @@ def _run(table: PrimeTable, m):
     return table.run_start.searchsorted(m, "right") - 1
 
 
-def _psi1_at(table: PrimeTable, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi_1(m) for each m of the int64 array ms (0 <= m <= limit) as (hi, lo).
+def _psi1_at(table: PrimeTable, ms) -> tuple[np.ndarray, np.ndarray]:
+    """psi_1(m) for each m of ms (an int64 array or a list, 0 <= m <= limit) as (hi, lo).
 
     One ``searchsorted`` finds each run k.  psi is constant on it, so
     2^53 psi_1(m) is the stored S_k plus m - run_start[k] + 1 steps of the
@@ -250,6 +250,7 @@ def _psi1_at(table: PrimeTable, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     hi correctly rounded and lo the exact rest.  psi_1 is the sum of the
     *stored* psi values, not of exact psi.
     """
+    ms = np.asarray(ms, dtype=np.int64)
     k = _run(table, ms)
     top, low = _limbs(table.run_psi[k], ms - table.run_start[k] + 1)
     top += table.run_psi1_top[k]

@@ -78,12 +78,23 @@ def suite_identities(
     hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
 
     def lemma_cases() -> Iterator[tuple[tuple, bool]]:
-        # The specialised lemma reproduces det H via the explicit row
-        # scaling; the scale is computed only when the lemma holds.
-        for v in _specs(min(max_n, 8), min(max_ab, 6)):
-            spec = det.HankelSpec(*v)
-            lhs, rhs = det.krattenthaler_sides(det.specialize_to_hankel(spec))
-            yield v, lhs == rhs == hankel[v] * det.specialization_scale(spec)
+        # The specialised lemma, one elimination per (alpha, beta), reproduces
+        # det H via the explicit row scaling num / den, compared in integers.
+        lemma_n, lemma_ab = min(max_n, 8), range(1, min(max_ab, 6) + 1)
+        sides = {
+            (a, b): det.specialized_lemma_sides(a, b, lemma_n) for a in lemma_ab for b in lemma_ab
+        }
+        for a, b, n in _specs(lemma_n, len(lemma_ab)):
+            lhs, rhs, num, den = sides[a, b][n - 1]
+            h = hankel[a, b, n]
+            yield (a, b, n), lhs == rhs and lhs * den * h.denominator == h.numerator * num
+
+    def consecutive_cases() -> Iterator[tuple[tuple, bool]]:
+        # One elimination per beta gives the generalized lhs at every n.
+        cons_n, cons_b = min(max_n, 6), range(1, min(max_ab, 5) + 1)
+        lhs = {b: det.consecutive_lhs(b, cons_n) for b in cons_b}
+        for n, b in itertools.product(range(1, cons_n + 1), cons_b):
+            yield (n, b), lhs[b][n - 1] == det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n))
 
     # The random instances are drawn lazily, as each check consumes them.
     krattenthaler = (det.random_krattenthaler(rng) for _ in range(count))
@@ -110,11 +121,7 @@ def suite_identities(
             ((s.xs, s.beta), operator.eq(*det.generalized_sides(s))) for s in generalized
         ), {"seed": seed}),
         # Consecutive indices x_i = i-1 collapse to the alpha = 2 Hankel case.
-        _check("consecutive_indices_match_hankel", ("n", "beta"), (
-            ((n, b), det.generalized_lhs(det.consecutive_spec(n, b))
-             == det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n)))
-            for n, b in itertools.product(range(1, min(max_n, 6) + 1), range(1, min(max_ab, 5) + 1))
-        )),
+        _check("consecutive_indices_match_hankel", ("n", "beta"), consecutive_cases()),
     ]
 
 

@@ -563,6 +563,29 @@ def test_empirical_table_validation(table_small):
         bounds.empirical_table(table_small, [2001])
 
 
+def test_empirical_table_equals_per_point_psi1(table_small):
+    # One vector read over unsorted points with repeats, 1 and the limit,
+    # against a point read each.
+    limit = table_small.limit
+    xs = [*range(1, limit + 1), limit, 1, 997, 3, 997]
+    rows = bounds.empirical_table(table_small, xs, c_star=0.5)
+    assert [r.x for r in rows] == xs
+    for row, x in zip(rows, xs):
+        want = primes.psi1(table_small, x)
+        assert row.psi1.hex() == want.hex()
+        assert row.ratio.hex() == (want / (x * x)).hex()
+        assert row.bound == 0.5 * x * x
+    assert bounds.empirical_table(table_small, [], c_star=0.5) == []
+
+
+def test_empirical_table_checks_every_point_before_reading(table_small):
+    # The first bad point in list order names the error, as per-point reads did.
+    with pytest.raises(ValueError, match="got 0"):
+        bounds.empirical_table(table_small, [5, 0, 2001], c_star=0.5)
+    with pytest.raises(ValueError, match=r"argument 2001 outside table range \[0, 2000\]"):
+        bounds.empirical_table(table_small, [5, 2001, 0], c_star=0.5)
+
+
 def test_window_size_past_float_range_is_named_by_its_digit_count():
     with pytest.raises(ValueError) as info:
         bounds.BoundParams(s=0.5, n=10**400)

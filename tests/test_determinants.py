@@ -406,6 +406,58 @@ def test_specialization_reproduces_hankel_determinant():
                 )
 
 
+def test_specialized_lemma_sweep_equals_the_lemma_at_each_n():
+    # One elimination of M_8 per (alpha, beta) against a fresh elimination
+    # of each M_n and the lemma product of each instance.
+    for alpha in range(1, 7):
+        for beta in range(1, 7):
+            sweep = det.specialized_lemma_sides(alpha, beta, 8)
+            assert len(sweep) == 8
+            for n, (lhs, rhs, num, den) in enumerate(sweep, 1):
+                spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
+                assert all(type(v) is int for v in (lhs, rhs, num, den))
+                assert (lhs, rhs) == det.krattenthaler_sides(det.specialize_to_hankel(spec))
+                assert Fraction(num, den) == det.specialization_scale(spec)
+            # A smaller sweep is the same prefix: each n's value is the block's.
+            for big_n in range(1, 8):
+                assert det.specialized_lemma_sides(alpha, beta, big_n) == sweep[:big_n]
+
+
+def test_consecutive_sweep_equals_generalized_lhs_at_each_n():
+    for beta in range(1, 6):
+        sweep = det.consecutive_lhs(beta, 6)
+        assert len(sweep) == 6
+        for n, lhs in enumerate(sweep, 1):
+            assert type(lhs) is Fraction
+            assert lhs == det.generalized_lhs(det.consecutive_spec(n, beta))
+        for big_n in range(1, 6):
+            assert det.consecutive_lhs(beta, big_n) == sweep[:big_n]
+
+
+@pytest.mark.parametrize(
+    "rows, fault",
+    [
+        # Zero first pivot; a row swap would give det -1.
+        ([[0, 1], [1, 0]], "zero minor"),
+        # Leading 2 x 2 block singular, the whole matrix not; the first
+        # pivot, 12, is a multiple of both sweeps' first row growth.
+        ([[12, 12, 1], [12, 12, 2], [1, 2, 1]], "zero minor"),
+        # Every pivot nonzero, but the first is not a multiple of its row growth.
+        ([[1, 1], [1, 2]], "not divisible"),
+    ],
+)
+def test_nested_sweeps_refuse_a_doctored_matrix(monkeypatch, rows, fault):
+    # Each sweep's first row growth at 1 <= k < N is at least 2, so a unit
+    # first pivot leaves a remainder; a zero pivot must not become a minor.
+    n = len(rows)
+    monkeypatch.setattr(det, "krattenthaler_matrix", lambda inst: [r[:] for r in rows])
+    with pytest.raises(RuntimeError, match=fault):
+        det.specialized_lemma_sides(1, 1, n)
+    monkeypatch.setattr(det, "_generalized_row", lambda x, beta, size: rows[x][:])
+    with pytest.raises(RuntimeError, match=fault):
+        det.consecutive_lhs(1, n)
+
+
 # ----------------------------------------------------------------------
 # lcm integrality inequalities
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 ``run_suite("all")`` eliminates each (alpha, beta) Hankel matrix once and
 hands the determinants to the identities and Selberg suites; these tests
-pin that its report is the concatenation of the suites run alone, and
-that the grid is rebuilt on every call rather than cached.
+pin that its report is the concatenation of the suites run alone, that
+the specialised lemma and the consecutive-index rows are each eliminated
+once per (alpha, beta) or beta, and that every grid and sweep is rebuilt
+on every call rather than cached.
 """
 
 import dataclasses
@@ -46,19 +48,36 @@ def _count_calls(monkeypatch, name):
     "suite, eliminations", [("all", 1), ("identities", 1), ("selberg", 1), ("inequalities", 0)]
 )
 def test_one_elimination_per_alpha_beta_per_call(monkeypatch, suite, eliminations):
-    max_n, max_ab = 5, 4
-    dets = _count_calls(monkeypatch, "hankel_dets")
-    single = _count_calls(monkeypatch, "hankel_det")
-    for call in (1, 2):
-        suites.run_suite(suite, max_n=max_n, max_ab=max_ab, max_ij=3, count=5, seed=0)
-        # A second call eliminates again: no grid outlives the call.
-        assert len(dets) == call * eliminations * max_ab**2
-    assert sorted(set(dets)) == (
-        [(a, b, max_n) for a in range(1, max_ab + 1) for b in range(1, max_ab + 1)]
-        if eliminations
-        else []
-    )
-    assert single == []
+    identities = suite in ("all", "identities")
+    count = 5
+    # (9, 7) is past the lemma sweep's caps (8, 6) and the consecutive one's (6, 5).
+    for max_n, max_ab in [(5, 4), (9, 7)]:
+        dets = _count_calls(monkeypatch, "hankel_dets")
+        single = _count_calls(monkeypatch, "hankel_det")
+        lemma = _count_calls(monkeypatch, "specialized_lemma_sides")
+        consecutive = _count_calls(monkeypatch, "consecutive_lhs")
+        random_lemma = _count_calls(monkeypatch, "krattenthaler_sides")
+        lemma_ab, consecutive_b = range(1, min(max_ab, 6) + 1), range(1, min(max_ab, 5) + 1)
+        for call in (1, 2):
+            suites.run_suite(suite, max_n=max_n, max_ab=max_ab, max_ij=3, count=count, seed=0)
+            # A second call eliminates again: no grid or sweep outlives the call.
+            assert len(dets) == call * eliminations * max_ab**2
+            assert len(lemma) == call * identities * len(lemma_ab) ** 2
+            assert len(consecutive) == call * identities * len(consecutive_b)
+            # The lemma's random instances still go one by one.
+            assert len(random_lemma) == call * identities * count
+        ab = range(1, max_ab + 1)
+        assert sorted(set(dets)) == (
+            [(a, b, max_n) for a in ab for b in ab] if eliminations else []
+        )
+        assert sorted(set(lemma)) == (
+            [(a, b, min(max_n, 8)) for a in lemma_ab for b in lemma_ab] if identities else []
+        )
+        assert sorted(set(consecutive)) == (
+            [(b, min(max_n, 6)) for b in consecutive_b] if identities else []
+        )
+        assert single == []
+        monkeypatch.undo()
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +93,9 @@ _FAULTS = [
     ("partial_fraction_sum", lambda a, b, m: m % 4 == 0, lambda v: v + 1),
     ("krattenthaler_sides", lambda inst: len(inst.x) == 3 or inst.b[:1] == (1,),
      lambda v: (v[0] + 1, v[1])),
+    # The specialised lemma's sweep at alpha = 2: its det M_n is off for n >= 2.
+    ("specialized_lemma_sides", lambda a, b, max_n: a == 2,
+     lambda v: [(d + (n > 1), *rest) for n, (d, *rest) in enumerate(v, 1)]),
     ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
     ("basic_integrality", lambda a, b, i, j: i == j == 2 or a == 2,
      lambda w: dataclasses.replace(w, scaled=w.scaled + Fraction(1, 2))),
