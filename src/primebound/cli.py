@@ -226,6 +226,8 @@ def _table_psi1(args) -> tuple[list[str], list[list], bool]:
     xs = _parse_int_list(args.x, "--x")
     if min(xs) < 1:
         raise ValueError("--x values must be >= 1")
+    if max(xs) > primes.MAX_LIMIT:
+        raise ValueError(f"--x values must be <= {primes.MAX_LIMIT}, got {_shown(max(xs))}")
     if args.c_star is not None and not math.isfinite(args.c_star):
         raise ValueError(f"--c-star must be finite, got {args.c_star}")
     table = primes.build_table(max(xs))

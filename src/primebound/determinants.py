@@ -57,23 +57,24 @@ leading block of H_max_n, so one elimination per (alpha, beta) gives
 det H for every n up to max_n; its moments (beta-1)!/(x)_beta come from
 :func:`beta_moment`, 2n-1 distinct ones per matrix, each row cleared to
 integers over the lcm of its denominators.  A generalized matrix is built
-already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! has the integer
-entries (x+2)_{j-1} (x+j+beta+1)_{n-j}, one prefix and one suffix product
-per row, as the lemma's rows are.  So an entry is never a Fraction there,
-and each value (a determinant, a closed form, a scaled entry) is one
-Fraction, reduced once.  The specialised lemma matrices and the
-consecutive-index rows x = 0..n-1 are nested too, up to a row scaling:
-the suffix product of a row at size N has N-n more factors than at size
-n, so the leading n x n block of the size-N matrix is the size-n matrix
-with row i times (i+alpha+beta+n-2)_{N-n}, respectively
-(x+beta+n+1)_{N-n}.  One elimination per (alpha, beta), respectively per
-beta, gives every n, each pivot divided exactly by its rows' scalings
-(:func:`_block_dets`).  No pivot is zero, because no determinant of
-either family is: the lemma product has no zero factor for beta >= 1,
-and distinct indices give a nonzero Vandermonde factor; a zero pivot or
-a remainder is refused as a fault.  :func:`fraction_det` (a matrix of ints and
-Fractions, cleared row by row) and a naive Fraction Gaussian elimination
-are kept as independent cross-checks, not as fast paths.
+already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! is the lemma row
+at X = x, B_t = t, A_t = t+beta, with integer entries
+(x+2)_{j-1} (x+j+beta+1)_{n-j}, so the lemma's row builder
+(:func:`_lemma_rows`, one prefix and one suffix product per row) builds
+it too.  An entry is never a Fraction there, and each value (a determinant, a closed form, a
+scaled entry) is one Fraction, reduced once.  The specialised lemma
+matrices are nested too, up to a row scaling: the suffix product of a
+row at size N has N-n more factors than at size n, so the leading n x n
+block of the size-N matrix is the size-n matrix with row i times
+(i+alpha+beta+n-2)_{N-n}.  One elimination per (alpha, beta) gives every
+n, each pivot divided exactly by its rows' scalings
+(:func:`specialized_lemma_sides`).  The consecutive-index rows
+x = 0..n-1 are that matrix at alpha = 2, entry for entry, so the same
+sweep serves them.  No pivot is zero, because no lemma product is for
+beta >= 1; a zero pivot or a remainder is refused as a fault.
+:func:`fraction_det` (a matrix of ints and Fractions, cleared row by
+row) and a naive Fraction Gaussian elimination are kept as independent
+cross-checks, not as fast paths.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,29 +212,6 @@ def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-
-
-def _block_dets(rows: list[list[int]], growth: Callable[[int, int], int]) -> list[int]:
-    """det M_k for k = 1..N, where ``rows`` is M_N and its leading k x k block is M_k
-    with row i (0-based) times ``growth(i, k)``.
-
-    One elimination without row swaps: its k-th pivot is that block's
-    determinant (Sylvester's identity), divided exactly by the product of
-    the k row growths.  A zero pivot (the division property would fail)
-    or a remainder raises ``RuntimeError``: the callers' families have no
-    zero determinant, so either signals a fault.
-    """
-    dets = []
-    for k, pivot in enumerate(_bareiss_pivots(rows, swap=False), 1):
-        q, r = divmod(pivot, math.prod(growth(i, k) for i in range(k)))
-        if pivot == 0 or r:
-            raise RuntimeError(
-                f"leading {k} x {k} block of a nested lemma family has "
-                f"{'a zero minor' if pivot == 0 else 'a minor not divisible by its row growth'}; "
-                "this cannot happen for valid parameters and signals a fault"
-            )
-        dets.append(q)
-    return dets
 
 
 def _clear_rows(rows: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
@@ -387,7 +365,12 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
 
 
 def krattenthaler_matrix(inst: KrattenthalerInstance) -> list[list[int]]:
-    """Matrix with entry (i, j) = prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t).
+    """Matrix with entry (i, j) = prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t)."""
+    return _lemma_rows(inst.x, inst.a, inst.b)
+
+
+def _lemma_rows(x: Iterable[int], a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """The lemma rows at X = ``x``, A_{t+2} = ``a[t]``, B_{t+2} = ``b[t]``, unvalidated.
 
     Row i is the prefix products of X_i+B_t, each times the matching
     suffix product of X_i+A_t, so a row costs O(n) multiplications, not
@@ -396,11 +379,11 @@ def krattenthaler_matrix(inst: KrattenthalerInstance) -> list[list[int]]:
     # The suffix is multiplied in place: a second accumulate, reversed and
     # zipped with the first, measured about 1.5x slower at these n <= 8.
     rows = []
-    for xi in inst.x:
-        row = [*itertools.accumulate([xi + b for b in inst.b], operator.mul, initial=1)]
+    for xi in x:
+        row = [*itertools.accumulate([xi + bt for bt in b], operator.mul, initial=1)]
         suffix = 1
-        for j in reversed(range(len(inst.a))):
-            suffix *= xi + inst.a[j]
+        for j in reversed(range(len(a))):
+            suffix *= xi + a[j]
             row[j] *= suffix
         rows.append(row)
     return rows
@@ -459,15 +442,24 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
     :func:`specialization_scale`.  Growing M_n to M_{n+1} multiplies every
     entry of row i by X_i + A_{n+1}, so the leading n x n block of
     M_max_n is M_n with row i times (i+alpha+beta+n-2)_{max_n-n}, and one
-    elimination gives every det M_n (:func:`_block_dets`).  The lemma
-    product is nonzero for beta >= 1 (each B_i - A_j = i-j-beta < 0), so
-    no leading block is singular and no row swap is needed.  The product
-    comes from the closed form, factor by factor, not from the elimination.
+    elimination without row swaps gives every det M_n: its n-th pivot is
+    that block's determinant (Sylvester's identity), divided exactly by
+    the n row growths.  The lemma product is nonzero for beta >= 1 (each
+    B_i - A_j = i-j-beta < 0), so a zero pivot or a remainder raises
+    ``RuntimeError`` as a fault.  The product comes from the closed form,
+    factor by factor, not from the elimination.
     """
     rows = krattenthaler_matrix(specialize_to_hankel(HankelSpec(alpha, beta, max_n)))
-    lhs = _block_dets(rows, lambda i, k: pochhammer(i + alpha + beta + k - 1, max_n - k))
     sides, rhs, fact = [], 1, math.factorial(beta - 1)
-    for n, d in enumerate(lhs, 1):
+    for n, pivot in enumerate(_bareiss_pivots(rows, swap=False), 1):
+        growth = math.prod(pochhammer(i + alpha + beta + n - 1, max_n - n) for i in range(n))
+        d, r = divmod(pivot, growth)
+        if pivot == 0 or r:
+            raise RuntimeError(
+                f"leading {n} x {n} block of the specialised lemma matrix has "
+                f"{'a zero minor' if pivot == 0 else 'a minor not divisible by its row growth'}; "
+                "this cannot happen for valid parameters and signals a fault"
+            )
         # X_i - X_n for i < n, and B_i - A_n for 2 <= i <= n.
         rhs *= math.prod(range(1 - n, 0)) * math.prod(range(2 - n - beta, -beta + 1))
         scale = math.prod(pochhammer(alpha + i, beta + n - 1) for i in range(n))
@@ -535,30 +527,16 @@ def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
 def generalized_lhs(spec: GeneralizedSpec) -> Fraction:
     """det( (beta-1)! / (x_i+j+1)_beta )_{i,j=1..n}, by one integer elimination.
 
-    Row i, times its scale (x_i+2)_{beta+n-1} / (beta-1)!, is
-    :func:`_generalized_row`; the determinant of those integer rows over
-    the product of the scales is the only Fraction.
+    Row i, times its scale (x_i+2)_{beta+n-1} / (beta-1)!, is the lemma
+    row at X = x_i, B = 2..n, A = beta+2..beta+n (:func:`_lemma_rows`);
+    the determinant of those integer rows over the product of the scales
+    is the only Fraction.
     """
     xs, b = spec.xs, spec.beta
     n = len(xs)
     scales = math.prod(pochhammer(x + 2, b + n - 1) for x in xs)
-    rows = [_generalized_row(x, b, n) for x in xs]
+    rows = _lemma_rows(xs, range(b + 2, b + n + 1), range(2, n + 1))
     return Fraction(bareiss_det(rows) * math.factorial(b - 1) ** n, scales)
-
-
-def _generalized_row(x: int, beta: int, n: int) -> list[int]:
-    """Row x of the generalized matrix times (x+2)_{beta+n-1} / (beta-1)!.
-
-    Entry j is (x+2)_{j-1} (x+j+beta+1)_{n-j}: the prefix products of
-    x+2 .. x+n, each times the matching suffix product of
-    x+beta+2 .. x+beta+n, as in :func:`krattenthaler_matrix`.
-    """
-    row = [*itertools.accumulate(range(x + 2, x + n + 1), operator.mul, initial=1)]
-    suffix = 1
-    for j in reversed(range(n - 1)):
-        suffix *= x + beta + j + 2
-        row[j] *= suffix
-    return row
 
 
 def generalized_rhs(spec: GeneralizedSpec) -> Fraction:
@@ -606,24 +584,6 @@ def random_generalized(
 def consecutive_spec(alpha_two_n: int, beta: int) -> GeneralizedSpec:
     """x_i = i - 1 for i = 1..n: the generalized identity collapses to alpha = 2."""
     return GeneralizedSpec(xs=tuple(range(alpha_two_n)), beta=beta)
-
-
-def consecutive_lhs(beta: int, max_n: int) -> list[Fraction]:
-    """:func:`generalized_lhs` of ``consecutive_spec(n, beta)`` for n = 1..max_n.
-
-    The rows x = 0..max_n-1 of :func:`_generalized_row` at size max_n,
-    cut to their first n entries, are the size-n rows times
-    (x+beta+n+1)_{max_n-n}: one elimination gives every size
-    (:func:`_block_dets`).  Distinct indices give a nonzero Vandermonde
-    factor, so no leading block is singular.
-    """
-    rows = [_generalized_row(x, beta, max_n) for x in range(max_n)]
-    dets = _block_dets(rows, lambda x, k: pochhammer(x + beta + k + 1, max_n - k))
-    fact = math.factorial(beta - 1)
-    return [
-        Fraction(d * fact**n, math.prod(pochhammer(x + 2, beta + n - 1) for x in range(n)))
-        for n, d in enumerate(dets, 1)
-    ]
 
 
 # ----------------------------------------------------------------------

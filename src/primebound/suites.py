@@ -90,11 +90,15 @@ def suite_identities(
             yield (a, b, n), lhs == rhs and lhs * den * h.denominator == h.numerator * num
 
     def consecutive_cases() -> Iterator[tuple[tuple, bool]]:
-        # One elimination per beta gives the generalized lhs at every n.
+        # The consecutive-index rows x_i = i-1, cleared to integers, are the
+        # specialised lemma matrix at alpha = 2: one sweep per beta gives the
+        # generalized lhs det M_n * den / num at every n, compared in integers.
         cons_n, cons_b = min(max_n, 6), range(1, min(max_ab, 5) + 1)
-        lhs = {b: det.consecutive_lhs(b, cons_n) for b in cons_b}
+        sides = {b: det.specialized_lemma_sides(2, b, cons_n) for b in cons_b}
         for n, b in itertools.product(range(1, cons_n + 1), cons_b):
-            yield (n, b), lhs[b][n - 1] == det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n))
+            lhs, _, num, den = sides[b][n - 1]
+            h = det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n))
+            yield (n, b), lhs * den * h.denominator == h.numerator * num
 
     # The random instances are drawn lazily, as each check consumes them.
     krattenthaler = (det.random_krattenthaler(rng) for _ in range(count))

@@ -427,6 +427,21 @@ def test_increments_window_past_sieve_limit_names_n_max(capsys):
         f"past the sieve limit {cli.primes.MAX_LIMIT}\n"
 
 
+@pytest.mark.parametrize(
+    "x, shown",
+    [("90000001", "90000001"), ("10," + "9" * 40, "an integer of 40 digits")],
+)
+def test_psi1_x_past_sieve_limit_names_x(capsys, monkeypatch, x, shown):
+    # Refused in --x's terms before the sieve: a table build fails the test.
+    def no_table(limit):
+        raise AssertionError("table built for an --x past the sieve limit")
+
+    monkeypatch.setattr(cli.primes, "build_table", no_table)
+    code, out, err = run_cli(capsys, ["table", "--kind", "psi1", "--x", x])
+    assert (code, out) == (2, "")
+    assert err == f"error: --x values must be <= {cli.primes.MAX_LIMIT}, got {shown}\n"
+
+
 @pytest.mark.parametrize("c_star", ["nan", "inf", "-inf"])
 def test_psi1_non_finite_c_star_exits_two(capsys, monkeypatch, c_star):
     # Refused before the sieve: a table build fails the test.

@@ -424,14 +424,16 @@ def test_specialized_lemma_sweep_equals_the_lemma_at_each_n():
 
 
 def test_consecutive_sweep_equals_generalized_lhs_at_each_n():
+    # The consecutive rows x_i = i-1, cleared, are the alpha = 2 lemma matrix,
+    # so its sweep scaled back by den / num is the generalized lhs.
     for beta in range(1, 6):
-        sweep = det.consecutive_lhs(beta, 6)
+        sweep = det.specialized_lemma_sides(2, beta, 6)
         assert len(sweep) == 6
-        for n, lhs in enumerate(sweep, 1):
-            assert type(lhs) is Fraction
-            assert lhs == det.generalized_lhs(det.consecutive_spec(n, beta))
+        for n, (lhs, _, num, den) in enumerate(sweep, 1):
+            assert type(lhs) is int
+            assert Fraction(lhs * den, num) == det.generalized_lhs(det.consecutive_spec(n, beta))
         for big_n in range(1, 6):
-            assert det.consecutive_lhs(beta, big_n) == sweep[:big_n]
+            assert det.specialized_lemma_sides(2, beta, big_n) == sweep[:big_n]
 
 
 @pytest.mark.parametrize(
@@ -440,22 +442,19 @@ def test_consecutive_sweep_equals_generalized_lhs_at_each_n():
         # Zero first pivot; a row swap would give det -1.
         ([[0, 1], [1, 0]], "zero minor"),
         # Leading 2 x 2 block singular, the whole matrix not; the first
-        # pivot, 12, is a multiple of both sweeps' first row growth.
+        # pivot, 12, is a multiple of the sweep's first row growth.
         ([[12, 12, 1], [12, 12, 2], [1, 2, 1]], "zero minor"),
         # Every pivot nonzero, but the first is not a multiple of its row growth.
         ([[1, 1], [1, 2]], "not divisible"),
     ],
 )
 def test_nested_sweeps_refuse_a_doctored_matrix(monkeypatch, rows, fault):
-    # Each sweep's first row growth at 1 <= k < N is at least 2, so a unit
+    # The sweep's first row growth at 1 <= k < N is at least 2, so a unit
     # first pivot leaves a remainder; a zero pivot must not become a minor.
     n = len(rows)
     monkeypatch.setattr(det, "krattenthaler_matrix", lambda inst: [r[:] for r in rows])
     with pytest.raises(RuntimeError, match=fault):
         det.specialized_lemma_sides(1, 1, n)
-    monkeypatch.setattr(det, "_generalized_row", lambda x, beta, size: rows[x][:])
-    with pytest.raises(RuntimeError, match=fault):
-        det.consecutive_lhs(1, n)
 
 
 # ----------------------------------------------------------------------
@@ -637,14 +636,31 @@ def test_generalized_identity_property(xs, beta):
 
 
 def test_generalized_rows_are_scaled_beta_moments():
+    # Lemma rows at X = x, B = 2..n, A = beta+2..beta+n, as generalized_lhs builds them.
     for n in range(1, 7):
         for beta in range(1, 7):
-            for x in range(31):
+            rows = det._lemma_rows(range(31), range(beta + 2, beta + n + 1), range(2, n + 1))
+            assert len(rows) == 31
+            for x, row in enumerate(rows):
                 scale = Fraction(pochhammer(x + 2, beta + n - 1), factorial(beta - 1))
                 want = [det.beta_moment(x + j + 1, beta) * scale for j in range(1, n + 1)]
-                row = det._generalized_row(x, beta, n)
                 assert all(type(v) is int for v in row)
                 assert row == want, (x, beta, n)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True), st.integers(1, 6))
+def test_generalized_lhs_is_the_scaled_lemma(xs, beta):
+    # generalized_lhs = (lemma sides at X = xs, A = beta+2..beta+n, B = 2..n)
+    # * (beta-1)!^n / prod_i (x_i+2)_{beta+n-1}, on both sides of the lemma.
+    n = len(xs)
+    inst = det.KrattenthalerInstance(
+        x=tuple(xs), a=tuple(range(beta + 2, beta + n + 1)), b=tuple(range(2, n + 1))
+    )
+    lhs, rhs = det.krattenthaler_sides(inst)
+    assert lhs == rhs
+    scale = Fraction(factorial(beta - 1) ** n, math.prod(pochhammer(x + 2, beta + n - 1) for x in xs))
+    assert det.generalized_lhs(det.GeneralizedSpec(xs=tuple(xs), beta=beta)) == lhs * scale == rhs * scale
 
 
 def test_basic_integrality_is_lcm_times_beta_moment():

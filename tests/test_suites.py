@@ -3,9 +3,10 @@
 ``run_suite("all")`` eliminates each (alpha, beta) Hankel matrix once and
 hands the determinants to the identities and Selberg suites; these tests
 pin that its report is the concatenation of the suites run alone, that
-the specialised lemma and the consecutive-index rows are each eliminated
-once per (alpha, beta) or beta, and that every grid and sweep is rebuilt
-on every call rather than cached.
+the specialised lemma is eliminated once per (alpha, beta) for the lemma
+check and once per beta, at alpha = 2, for the consecutive-index check
+(its rows are that matrix), and that every grid and sweep is rebuilt on
+every call rather than cached.
 """
 
 import dataclasses
@@ -55,27 +56,24 @@ def test_one_elimination_per_alpha_beta_per_call(monkeypatch, suite, elimination
         dets = _count_calls(monkeypatch, "hankel_dets")
         single = _count_calls(monkeypatch, "hankel_det")
         lemma = _count_calls(monkeypatch, "specialized_lemma_sides")
-        consecutive = _count_calls(monkeypatch, "consecutive_lhs")
         random_lemma = _count_calls(monkeypatch, "krattenthaler_sides")
         lemma_ab, consecutive_b = range(1, min(max_ab, 6) + 1), range(1, min(max_ab, 5) + 1)
+        # One sweep per (alpha, beta) for the lemma check, and one per beta
+        # at alpha = 2 for the consecutive-index check.
+        sweeps = [(a, b, min(max_n, 8)) for a in lemma_ab for b in lemma_ab]
+        sweeps += [(2, b, min(max_n, 6)) for b in consecutive_b]
         for call in (1, 2):
             suites.run_suite(suite, max_n=max_n, max_ab=max_ab, max_ij=3, count=count, seed=0)
             # A second call eliminates again: no grid or sweep outlives the call.
             assert len(dets) == call * eliminations * max_ab**2
-            assert len(lemma) == call * identities * len(lemma_ab) ** 2
-            assert len(consecutive) == call * identities * len(consecutive_b)
+            assert len(lemma) == call * identities * len(sweeps)
             # The lemma's random instances still go one by one.
             assert len(random_lemma) == call * identities * count
         ab = range(1, max_ab + 1)
         assert sorted(set(dets)) == (
             [(a, b, max_n) for a in ab for b in ab] if eliminations else []
         )
-        assert sorted(set(lemma)) == (
-            [(a, b, min(max_n, 8)) for a in lemma_ab for b in lemma_ab] if identities else []
-        )
-        assert sorted(set(consecutive)) == (
-            [(b, min(max_n, 6)) for b in consecutive_b] if identities else []
-        )
+        assert sorted(lemma) == (sorted(2 * sweeps) if identities else [])
         assert single == []
         monkeypatch.undo()
 
@@ -94,6 +92,7 @@ _FAULTS = [
     ("krattenthaler_sides", lambda inst: len(inst.x) == 3 or inst.b[:1] == (1,),
      lambda v: (v[0] + 1, v[1])),
     # The specialised lemma's sweep at alpha = 2: its det M_n is off for n >= 2.
+    # The consecutive-index check reads the same sweep, so it fails there too.
     ("specialized_lemma_sides", lambda a, b, max_n: a == 2,
      lambda v: [(d + (n > 1), *rest) for n, (d, *rest) in enumerate(v, 1)]),
     ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
@@ -118,7 +117,7 @@ _SHARED = {
     "hankel_det_equals_closed_form": _abn((3, 1, 1), (3, 2, 1), (3, 3, 1)),
     "lemma_specialises_to_hankel": _abn((2, 1, 2), (2, 2, 2), (2, 3, 2)),
     "consecutive_indices_match_hankel": [
-        {"n": 3, "beta": 1}, {"n": 3, "beta": 2}, {"n": 3, "beta": 3}
+        {"n": 2, "beta": 1}, {"n": 2, "beta": 2}, {"n": 2, "beta": 3}
     ],
     "lcm_times_entry_is_positive_integer": _abij((1, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 2)),
     "improved_product_at_least_one": _abn((1, 3, 1), (2, 3, 1), (3, 3, 1)),
