@@ -369,7 +369,7 @@ def krattenthaler_matrix(inst: KrattenthalerInstance) -> list[list[int]]:
     return _lemma_rows(inst.x, inst.a, inst.b)
 
 
-def _lemma_rows(x: Iterable[int], a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+def _lemma_rows(x: Iterable[int], a: Sequence[int], b: Iterable[int]) -> list[list[int]]:
     """The lemma rows at X = ``x``, A_{t+2} = ``a[t]``, B_{t+2} = ``b[t]``, unvalidated.
 
     Row i is the prefix products of X_i+B_t, each times the matching
@@ -380,10 +380,11 @@ def _lemma_rows(x: Iterable[int], a: Sequence[int], b: Sequence[int]) -> list[li
     # zipped with the first, measured about 1.5x slower at these n <= 8.
     rows = []
     for xi in x:
-        row = [*itertools.accumulate([xi + bt for bt in b], operator.mul, initial=1)]
-        suffix = 1
-        for j in reversed(range(len(a))):
-            suffix *= xi + a[j]
+        row = [*itertools.accumulate(map(xi.__add__, b), operator.mul, initial=1)]
+        suffix, j = 1, len(a)
+        for at in reversed(a):
+            j -= 1
+            suffix *= xi + at
             row[j] *= suffix
         rows.append(row)
     return rows
