@@ -16,12 +16,11 @@ exit code.
 
 Parsing: one table, ``_SUBCOMMANDS``, names each subcommand with its help
 text and the function that adds its arguments after the common ones
-(``--format``, ``--seed``, ``--out``).  When argv starts with a subcommand,
-:func:`main` builds only that subcommand's parser; the full tree is built
-from the same table only for top-level help, a missing or unknown command,
-or arguments the subcommand leaves over.  Either way every help, usage and
-error text is the full tree's.  The window sizes of ``table`` are checked by
-``bounds.BoundParams`` itself, its refusals reworded in the flags' terms.
+(``--format``, ``--seed``, ``--out``).  The tree is built from it once, at
+import, as ``_PARSER``; argparse keeps no state between ``parse_args`` calls,
+so :func:`main` reuses it and builds no parser per call.  The window sizes
+of ``table`` are checked by ``bounds.BoundParams`` itself, its refusals
+reworded in the flags' terms.
 
 Exit codes: 0 all checks passed, 1 at least one mathematical check
 failed, 2 usage or resource error (bad arguments, unwritable output).
@@ -136,12 +135,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _subparser(p: argparse.ArgumentParser, add) -> argparse.ArgumentParser:
-    _common_args(p)
-    add(p)
-    return p
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The full tree: ``primebound`` and every subcommand under it."""
     p = _Parser(
@@ -150,26 +143,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_, description, add) in _SUBCOMMANDS.items():
-        _subparser(sub.add_parser(name, help=help_, description=description), add)
+        cmd = sub.add_parser(name, help=help_, description=description)
+        _common_args(cmd)
+        add(cmd)
     return p
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv as the full tree parses it, building only the named subcommand's parser.
-
-    That parser is the one the tree would hand the rest of argv to, so it
-    parses, prints help and refuses alike.  Anything else (no command, an
-    unknown one, top-level help, or arguments the subcommand leaves over)
-    goes to the full tree, whose messages name ``primebound`` itself.
-    """
-    if argv and argv[0] in _SUBCOMMANDS:
-        _, description, add = _SUBCOMMANDS[argv[0]]
-        p = _subparser(_Parser(prog=f"primebound {argv[0]}", description=description), add)
-        args, extras = p.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+_PARSER = _build_parser()
 
 
 def _cmd_verify(args) -> tuple[dict, list[report.Check]]:
@@ -223,6 +203,8 @@ def _bound_params(s: float, n: int, flag: str, too_small: str) -> bounds.BoundPa
 
 
 def _table_psi1(args) -> tuple[list[str], list[list], bool]:
+    if not 0.0 < args.s <= 1.0:  # the report echoes s: nan or inf is not JSON
+        raise ValueError(f"--s must be in (0, 1], got {args.s}")
     xs = _parse_int_list(args.x, "--x")
     if min(xs) < 1:
         raise ValueError("--x values must be >= 1")
@@ -327,7 +309,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalise and re-raise
         # for real process use while keeping main() callable in-process.

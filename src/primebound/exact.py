@@ -131,11 +131,9 @@ def _exact_prefix_sum(values: np.ndarray, carry: np.ndarray, hi: np.ndarray) -> 
     writes each sum to ``hi``, correctly rounded.  Exact for totals below
     2^52.  ``hi`` may be ``values``.
     """
-    for start in range(0, values.size, _SCAN_LEN):
-        part = slice(start, start + _SCAN_LEN)
-        top, low = _limbs(values[part])
-        _carry_scan(top, low, carry)
-        _floats(top, low, hi[part])
+    top, low = _limbs(values)
+    _carry_scan(top, low, carry)
+    _floats(top, low, hi)
 
 
 def _grow_log_table(k: int) -> None:

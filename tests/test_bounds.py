@@ -168,11 +168,16 @@ def _mp_log_delta(p):
 
 
 @pytest.mark.parametrize(
-    "s, n", [(S_TARGET, 30000), (0.05, 10**6), (S_TARGET, 10**6), (1.0, 123457)]
+    "s, n",
+    [
+        (S_TARGET, 30000), (0.05, 10**6), (S_TARGET, 10**6), (1.0, 123457),
+        (0.15, 10**12), (S_TARGET, 10**12), (0.8, 10**12),
+    ],
 )
 def test_log_delta_matches_mpmath_barnes_g_to_a_million(s, n):
     # Table and series on either side of the seam: at (S_TARGET, 30000) only
     # the top argument is above it, at (0.05, 1e6) only the bottom one below.
+    # At n = 1e12, the end of the range the docstring names, the series alone.
     p = bounds.BoundParams(s=s, n=n)
     with mpmath.workdps(40):
         oracle = _mp_log_delta(p)

@@ -246,7 +246,7 @@ _ARGPARSE_REFUSES = [
 
 
 # ----------------------------------------------------------------------
-# argument parsing: one subcommand's parser, the full tree's bytes
+# argument parsing: one tree per process, reused by every call
 # ----------------------------------------------------------------------
 
 _TINY_VERIFY = ["verify", "--suite", "identities", "--max-n", "2", "--max-ab", "2", "--count", "2"]
@@ -274,32 +274,29 @@ _PARSE_CASES = [
 ]
 
 
-def _full_tree_parse(argv):
-    return cli._build_parser().parse_args(argv)
-
-
 def _masked(text: str) -> str:
     return re.sub(r"elapsed.*", "elapsed", text)
 
 
 @pytest.mark.parametrize("argv", _PARSE_CASES)
 def test_subcommand_parser_matches_full_tree(capsys, monkeypatch, argv):
-    code, out, err = run_cli(capsys, argv)
-    monkeypatch.setattr(cli, "_parse", _full_tree_parse)
-    want_code, want_out, want_err = run_cli(capsys, argv)
-    assert (code, _masked(out), err) == (want_code, _masked(want_out), want_err)
+    # The tree built at import, used twice, answers as a fresh one does:
+    # reusing it changes no exit code and no byte of output.
+    runs = [run_cli(capsys, argv) for _ in range(2)]
+    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+    runs.append(run_cli(capsys, argv))
+    assert len({(code, _masked(out), err) for code, out, err in runs}) == 1, runs
 
 
 @pytest.mark.parametrize(
-    "argv, exit_code, parsers",
+    "argv, exit_code",
     [
-        (["sieve", "--limit", "100", "--format", "json"], 0, 1),
-        ([*_TINY_VERIFY, "--format", "json"], 0, 1),
-        # No command: the full tree, the top-level parser and one per subcommand.
-        ([], 2, 1 + len(cli._SUBCOMMANDS)),
+        (["sieve", "--limit", "100", "--format", "json"], 0),
+        ([*_TINY_VERIFY, "--format", "json"], 0),
+        ([], 2),  # no command: the usage error of the whole tree
     ],
 )
-def test_valid_call_builds_one_parser(capsys, monkeypatch, argv, exit_code, parsers):
+def test_main_builds_no_parser(capsys, monkeypatch, argv, exit_code):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -310,7 +307,33 @@ def test_valid_call_builds_one_parser(capsys, monkeypatch, argv, exit_code, pars
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     code, _, _ = run_cli(capsys, argv)
     assert code == exit_code
-    assert len(built) == parsers, built
+    assert built == []
+
+
+def test_import_builds_the_tree_once():
+    # A fresh process: the top-level parser and one per subcommand.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import primebound.cli\n"
+        "print(len(built))\n"
+    )
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 1 + len(cli._SUBCOMMANDS)
 
 
 @pytest.mark.parametrize(
@@ -340,6 +363,9 @@ def test_verify_sizes_past_cap_exit_two(capsys, monkeypatch, flag, cap):
         ["table", "--kind", "asymptotic-gap", "--s", "inf", "--n", "3"],
         ["table", "--kind", "asymptotic-gap", "--s", "nan", "--n", "3"],
         ["table", "--kind", "asymptotic-gap", "--s", "1e7", "--n", "3"],
+        ["table", "--kind", "psi1", "--s", "nan"],
+        ["table", "--kind", "psi1", "--s", "inf"],
+        ["table", "--kind", "psi1", "--s", "1.5"],
     ],
 )
 def test_s_outside_unit_interval_exits_two(capsys, monkeypatch, argv):
