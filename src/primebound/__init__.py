@@ -8,8 +8,8 @@ asymptotic lower bound psi_1(x) >= c * x^2 with c ~ 0.49517.
 Modules
 -------
 exact
-    Factorial ratios, Pochhammer symbols, binomials, the exact limb prefix
-    sum, log-superfactorials from a correctly rounded table and a series.
+    Factorial ratios, Pochhammer symbols, the exact limb prefix sum,
+    log-superfactorials from a correctly rounded table and a series.
 primes
     Sieve of Eratosthenes, von Mangoldt classification, exact
     Chebyshev psi / psi_1 tables, lcm(1..m) with two algorithms.

@@ -107,7 +107,10 @@ def log_delta(params: BoundParams) -> float:
     so a call is O(1).  The differences cancel, yet the worst relative error
     measured was 2.1e-15 against ln(delta_exact) for every n <= 200 at s in
     {0.05, 0.15, s*, 0.8, 1}, 4.2e-15 against an fsum of math.lgamma terms up
-    to n = 2e4, and 1.4e-14 against mpmath's Barnes G up to n = 1e12.
+    to n = 2e4, and 1.4e-14 against mpmath's Barnes G up to n = 1e12.  The
+    cancellation grows like ln n: at every accepted n (to 2.5e152 at s = 1,
+    5e152 as s -> 0) the G terms sum to below 1,900 |ln Delta_n(s)|, so the
+    error is below 3e-12; on 1,500 samples up to there it was at most 2.3e-13.
     """
     a, n = params.a, params.n
     G = log_superfactorial

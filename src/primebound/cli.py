@@ -15,12 +15,13 @@ way: it owns the clock, turns a ``ValueError`` or ``MemoryError`` into one
 exit code.
 
 Parsing: one table, ``_SUBCOMMANDS``, names each subcommand with its help
-text and the function that adds its arguments after the common ones
-(``--format``, ``--seed``, ``--out``).  The tree is built from it once, at
-import, as ``_PARSER``; argparse keeps no state between ``parse_args`` calls,
-so :func:`main` reuses it and builds no parser per call.  The window sizes
-of ``table`` are checked by ``bounds.BoundParams`` itself, its refusals
-reworded in the flags' terms.
+text, the function that adds its arguments after the common ones
+(``--format``, ``--seed``, ``--out``) and the function that runs it.  The
+tree is built from it once, at import, as ``_PARSER``; argparse keeps no
+state between ``parse_args`` calls, so :func:`main` reuses it and builds no
+parser per call.  ``table`` refuses an ``--s`` outside (0, 1] before any
+kind runs; ``bounds.BoundParams`` then checks its window sizes, its
+refusals reworded in the flags' terms.
 
 Exit codes: 0 all checks passed, 1 at least one mathematical check
 failed, 2 usage or resource error (bad arguments, unwritable output).
@@ -36,7 +37,7 @@ import sys
 import time
 
 from . import bounds, primes, report, suites
-from .exact import _shown, log_int
+from .exact import _shown
 
 _FORMATS = ("text", "json", "csv")
 
@@ -121,37 +122,6 @@ def _sieve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", type=int, default=100000)
 
 
-# name: (help, description or None, adds the arguments after the common ones)
-_SUBCOMMANDS = {
-    "verify": (
-        "run a verification suite",
-        "Run a verification suite. Each size flag is capped; with --max-n and "
-        "--max-ab both at their caps, --suite all takes about 40 s and 50 MB.",
-        _verify_args,
-    ),
-    "optimize": ("maximise the asymptotic constant", None, _optimize_args),
-    "table": ("emit numeric tables", None, _table_args),
-    "sieve": ("build a prime table and self-check", None, _sieve_args),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The full tree: ``primebound`` and every subcommand under it."""
-    p = _Parser(
-        prog="primebound",
-        description="Exact determinant identities, lcm inequalities and psi_1 lower bounds",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, description, add) in _SUBCOMMANDS.items():
-        cmd = sub.add_parser(name, help=help_, description=description)
-        _common_args(cmd)
-        add(cmd)
-    return p
-
-
-_PARSER = _build_parser()
-
-
 def _cmd_verify(args) -> tuple[dict, list[report.Check]]:
     sizes = {name: getattr(args, name) for name in _VERIFY_CAPS}
     for name, cap in _VERIFY_CAPS.items():
@@ -186,25 +156,23 @@ def _cmd_optimize(args) -> tuple[dict, list[report.Check]]:
 
 
 def _bound_params(s: float, n: int, flag: str, too_small: str) -> bounds.BoundParams:
-    """``BoundParams(s, n)`` for --s and the window size n given as ``flag``.
+    """``BoundParams(s, n)`` for an s in (0, 1] and the window size n given as ``flag``.
 
-    Its refusal is reworded in the flags' terms: the domain of s, an n past
-    the float range, or ``too_small`` when n < 1 or floor(s n) < 1.
+    With s valid, it refuses n for one of two reasons, told apart here by
+    ``float(n)``: n past the float range, or ``too_small`` when n < 1 or
+    floor(s n) < 1.
     """
     try:
         return bounds.BoundParams(s=s, n=n)
-    except ValueError as exc:
-        why = str(exc)
-    if why.startswith("s must"):
-        raise ValueError(f"--{why}")
-    if "too large for a float" in why:
-        raise ValueError(f"{flag} is too large for a float")
-    raise ValueError(too_small)
+    except ValueError:
+        try:
+            float(n)
+        except OverflowError:
+            raise ValueError(f"{flag} is too large for a float") from None
+        raise ValueError(too_small) from None
 
 
 def _table_psi1(args) -> tuple[list[str], list[list], bool]:
-    if not 0.0 < args.s <= 1.0:  # the report echoes s: nan or inf is not JSON
-        raise ValueError(f"--s must be in (0, 1], got {args.s}")
     xs = _parse_int_list(args.x, "--x")
     if min(xs) < 1:
         raise ValueError("--x values must be >= 1")
@@ -259,6 +227,8 @@ _TABLES = {"psi1": _table_psi1, "increments": _table_increments, "asymptotic-gap
 
 
 def _cmd_table(args) -> tuple[dict, list[report.Check]]:
+    if not 0.0 < args.s <= 1.0:  # every kind needs it; the report echoes s: nan is not JSON
+        raise ValueError(f"--s must be in (0, 1], got {args.s}")
     header, rows, ok = _TABLES[args.kind](args)
     check = report.Check(
         name=f"table_{args.kind}",
@@ -270,14 +240,15 @@ def _cmd_table(args) -> tuple[dict, list[report.Check]]:
 
 
 def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
-    table = primes.build_table(args.limit)
     m = args.limit
+    if not 1 <= m <= primes.MAX_LIMIT:
+        raise ValueError(f"--limit must be in [1, {primes.MAX_LIMIT}], got {_shown(m)}")
+    table = primes.build_table(m)
     # Self-checks: increments stored exactly; psi matches ln lcm(1..m) at
     # a modest point; psi grows like m.
     probe = min(m, 1000)
-    lcm_ok = abs(
-        primes.psi(table, probe) - log_int(primes.lcm_upto(probe))
-    ) <= 1e-9 * max(1.0, probe)
+    psi_probe = primes.psi(table, probe)
+    lcm_ok = abs(psi_probe - math.log(primes.lcm_upto(probe))) <= 1e-9 * max(1.0, probe)
     increments = primes._psi1_increments(table, max(1, m - 200), m)
     inc_ok = all(inc == stored for inc, stored in increments)
     checks = [
@@ -287,7 +258,7 @@ def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
             cases=1,
             witness={
                 "probe": probe,
-                "psi": primes.psi(table, probe),
+                "psi": psi_probe,
                 "psi_at_limit": primes.psi(table, m),
                 "psi1_at_limit": primes.psi1(table, m),
             },
@@ -302,9 +273,36 @@ def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
     return {"limit": args.limit, "seed": args.seed}, checks
 
 
-_COMMANDS = {
-    "verify": _cmd_verify, "optimize": _cmd_optimize, "table": _cmd_table, "sieve": _cmd_sieve,
+# name: (help, description or None, adds the arguments after the common ones, runs it)
+_SUBCOMMANDS = {
+    "verify": (
+        "run a verification suite",
+        "Run a verification suite. Each size flag is capped; with --max-n and "
+        "--max-ab both at their caps, --suite all takes about 40 s and 50 MB.",
+        _verify_args,
+        _cmd_verify,
+    ),
+    "optimize": ("maximise the asymptotic constant", None, _optimize_args, _cmd_optimize),
+    "table": ("emit numeric tables", None, _table_args, _cmd_table),
+    "sieve": ("build a prime table and self-check", None, _sieve_args, _cmd_sieve),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: ``primebound`` and every subcommand under it."""
+    p = _Parser(
+        prog="primebound",
+        description="Exact determinant identities, lcm inequalities and psi_1 lower bounds",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, description, add, _) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=help_, description=description)
+        _common_args(cmd)
+        add(cmd)
+    return p
+
+
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,9 +312,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors; normalise and re-raise
         # for real process use while keeping main() callable in-process.
         return int(exc.code or 0)
+    *_, run = _SUBCOMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        parameters, checks = _COMMANDS[args.command](args)
+        parameters, checks = run(args)
     except (ValueError, MemoryError) as exc:  # bad input, or too large for memory
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import binomial, factorial_ratio, pochhammer
+from .exact import factorial_ratio, pochhammer
 from .primes import lcm_upto
 
 # ----------------------------------------------------------------------
@@ -354,7 +354,7 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
     scale = math.lcm(*range(lo, lo + beta))
     total = 0
     for k in range(beta):
-        term = binomial(beta - 1, k) * (scale // (lo + k))
+        term = math.comb(beta - 1, k) * (scale // (lo + k))
         total += -term if k & 1 else term
     return Fraction(total, scale)
 

@@ -17,9 +17,10 @@ care goes, and the rules used throughout the package are:
   exact limb sum becomes a float through one split, :func:`_floats`, so
   each stored partial sum is the exact sum of its float terms, correctly
   rounded; short sums use ``math.fsum``;
-* logarithms of integers too large for float conversion are split as
-  ``ln(n) = ln(n >> e) + e*ln 2`` with a 53-bit mantissa, keeping the
-  relative error below 1e-15 even for million-digit inputs.
+* the logarithm of an integer too large for a float is ``math.log`` of
+  the int itself: CPython splits it into a correctly rounded 53-bit
+  mantissa and a power of two, so the relative error stays a few ulp at
+  any size.
 
 Log-superfactorials ln G(k+1) come from a table grown on demand for k <= 2**16,
 so grid sweeps pay for each value once, and from the Barnes G series above it.
@@ -32,8 +33,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
-
-LN2 = math.log(2.0)
 
 # _LSF[k] == sum(ln j!, j < k), extended on demand; _CARRY holds the exact
 # limb totals behind ln((len(_LSF) - 2)!) and _LSF[-1], from which the next
@@ -174,8 +173,10 @@ def log_superfactorial(k: int) -> float:
 
     For k <= 2**16, the exact sum of the correctly rounded ln j!, from a
     table shared across calls.  Above, the asymptotic series (DLMF 5.17.5)
-    to three Bernoulli terms, within 4e-16 relative of mpmath's Barnes G up
-    to k = 10**15.  ``ValueError`` for k < 0 or a value past the float range.
+    to three Bernoulli terms.  Both are within 1e-15 relative of mpmath's
+    Barnes G at every accepted k, the series by a few roundings of float(k):
+    at most 4.5e-16 measured up to the largest, k ~ 1.01e153.  ``ValueError``
+    for k < 0 or a value past the float range.
     """
     if k < 0 or k >= len(_LSF):
         if k > _LOG_SEAM:
@@ -217,29 +218,3 @@ def pochhammer(x: int, k: int) -> int:
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got {k}")
     return math.prod(range(x, x + k))
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) with strict 0 <= k <= n validation."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got k={k}, n={n}")
-    return math.comb(n, k)
-
-
-def log_int(n: int) -> float:
-    """Natural log of a positive integer of arbitrary size.
-
-    Floats overflow past ~1e308, so large n is split into its top 53 bits
-    plus a power of two: ln(n) = ln(n >> e) + e*ln2.  The dropped low bits
-    perturb n by < 2^-52 relatively, so the result has relative error
-    below 1e-15 regardless of size.
-    """
-    if n <= 0:
-        raise ValueError(f"log_int requires n >= 1, got {n}")
-    bits = n.bit_length()
-    if bits <= 53:
-        return math.log(n)
-    shift = bits - 53
-    return math.log(n >> shift) + shift * LN2

@@ -76,14 +76,17 @@ def suite_identities(
         raise ValueError("max_n, max_ab and count must all be >= 1")
     rng = random.Random(seed)
     hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
+    # The specialised lemma, one elimination per (alpha, beta), read by both
+    # lemma checks; alpha = 2 is swept too when max_ab = 1 leaves it outside
+    # the lemma grid, as the consecutive-index check reads it.
+    lemma_n, lemma_ab = min(max_n, 8), range(1, min(max_ab, 6) + 1)
+    sides = {
+        (a, b): det.specialized_lemma_sides(a, b, lemma_n) for a in {*lemma_ab, 2} for b in lemma_ab
+    }
 
     def lemma_cases() -> Iterator[tuple[tuple, bool]]:
-        # The specialised lemma, one elimination per (alpha, beta), reproduces
-        # det H via the explicit row scaling num / den, compared in integers.
-        lemma_n, lemma_ab = min(max_n, 8), range(1, min(max_ab, 6) + 1)
-        sides = {
-            (a, b): det.specialized_lemma_sides(a, b, lemma_n) for a in lemma_ab for b in lemma_ab
-        }
+        # The lemma reproduces det H via the explicit row scaling num / den,
+        # compared in integers.
         for a, b, n in _specs(lemma_n, len(lemma_ab)):
             lhs, rhs, num, den = sides[a, b][n - 1]
             h = hankel[a, b, n]
@@ -91,12 +94,11 @@ def suite_identities(
 
     def consecutive_cases() -> Iterator[tuple[tuple, bool]]:
         # The consecutive-index rows x_i = i-1, cleared to integers, are the
-        # specialised lemma matrix at alpha = 2: one sweep per beta gives the
-        # generalized lhs det M_n * den / num at every n, compared in integers.
+        # specialised lemma matrix at alpha = 2: its sweep for each beta gives
+        # the generalized lhs det M_n * den / num at every n, compared in integers.
         cons_n, cons_b = min(max_n, 6), range(1, min(max_ab, 5) + 1)
-        sides = {b: det.specialized_lemma_sides(2, b, cons_n) for b in cons_b}
         for n, b in itertools.product(range(1, cons_n + 1), cons_b):
-            lhs, _, num, den = sides[b][n - 1]
+            lhs, _, num, den = sides[2, b][n - 1]
             h = det.closed_form_det(det.HankelSpec(alpha=2, beta=b, n=n))
             yield (n, b), lhs * den * h.denominator == h.numerator * num
 

@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 from primebound import bounds, cli, determinants as det, primes, report
-from primebound.exact import log_int
 
 S_TARGET = 0.39191162
 
@@ -274,22 +273,38 @@ def test_10_prime_toolkit():
 
     # Dual-route lcm agreement at every m <= 10^4.  The fold route is run
     # incrementally (one math.lcm step per m, the same operation lcm_upto
-    # folds over the full range) against a fresh prime-power product per m;
-    # lcm_upto itself is anchored at every cached index and at spot checks
-    # beyond the cache, where a per-m call would cost quadratic time.
-    anchors = {2500, 4096, 5000, 7500, 9973, 10_000}
-    fold = 1
+    # folds over the full range) against a prime-power product grown here
+    # from its own sieve: d_m = d_{m-1} p when m is a power of the prime p.
+    # primes.lcm_upto_prime_powers is checked against that product at every
+    # m <= 100 and at the anchors; lcm_upto itself at every cached index and
+    # at the anchors beyond the cache, where a per-m call would cost
+    # quadratic time.
+    top = 10_000
+    anchors = {2500, 4096, 5000, 7500, 9973, top}
+    composite = bytearray(top + 1)
+    power_of = [1] * (top + 1)  # p at each power of the prime p, else 1
+    for p in range(2, top + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, top + 1, p))
+            q = p
+            while q <= top:
+                power_of[q] = p
+                q *= p
+    fold = product = 1
     route_bad = 0
     psi_bad = 0
     anchor_bad = 0
-    for m in range(1, 10_001):
+    for m in range(1, top + 1):
         fold = math.lcm(fold, m)
-        if fold != primes.lcm_upto_prime_powers(m):
+        product *= power_of[m]
+        if fold != product:
             route_bad += 1
         psi_m = primes.psi(table, m)
-        if abs(log_int(fold) - psi_m) > 1e-8 * max(1.0, psi_m):
+        if abs(math.log(fold) - psi_m) > 1e-8 * max(1.0, psi_m):
             psi_bad += 1
         if (m <= 2048 or m in anchors) and primes.lcm_upto(m) != fold:
+            anchor_bad += 1
+        if (m <= 100 or m in anchors) and primes.lcm_upto_prime_powers(m) != product:
             anchor_bad += 1
     dt = time.perf_counter() - t0
     ok = build_dt < 5.0 and route_bad == 0 and psi_bad == 0 and anchor_bad == 0

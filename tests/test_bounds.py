@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from primebound import bounds, primes
 from primebound import determinants as det
-from primebound.exact import log_int
 
 S_TARGET = 0.39191162
 # The root of c'(s) and c there, by mpmath.findroot at 40 digits (and
@@ -37,7 +36,7 @@ GAP_FIXTURES = {
 
 
 def _log_fraction(q: Fraction) -> float:
-    return log_int(q.numerator) - log_int(q.denominator)
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +171,33 @@ def _mp_log_delta(p):
     [
         (S_TARGET, 30000), (0.05, 10**6), (S_TARGET, 10**6), (1.0, 123457),
         (0.15, 10**12), (S_TARGET, 10**12), (0.8, 10**12),
+        (S_TARGET, 10**18), (0.8, 10**30), (S_TARGET, 10**60),
     ],
 )
 def test_log_delta_matches_mpmath_barnes_g_to_a_million(s, n):
     # Table and series on either side of the seam: at (S_TARGET, 30000) only
     # the top argument is above it, at (0.05, 1e6) only the bottom one below.
-    # At n = 1e12, the end of the range the docstring names, the series alone.
+    # From n = 1e12 on, the series alone; past 1e60, mpmath's first value
+    # takes seconds.
     p = bounds.BoundParams(s=s, n=n)
     with mpmath.workdps(40):
         oracle = _mp_log_delta(p)
         assert abs(bounds.log_delta(p) - oracle) <= 1e-13 * abs(oracle)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("s", [1.0, 0.8, S_TARGET, 0.05])
+def test_log_delta_matches_mpmath_barnes_g_to_the_largest_n(largest_accepted, s):
+    # Up to the largest n whose G terms are floats (about 2.5e152 at s = 1):
+    # the docstring's 3e-12 holds to the end of the accepted range.
+    def at(n):
+        return bounds.log_delta(bounds.BoundParams(s=s, n=n))
+
+    top = largest_accepted(at, 10**150, 10**154)
+    with mpmath.workdps(40):
+        for n in (10**100, 10**150, top):
+            oracle = _mp_log_delta(bounds.BoundParams(s=s, n=n))
+            assert abs(at(n) - oracle) <= 3e-12 * abs(oracle), n
 
 
 # ----------------------------------------------------------------------

@@ -98,14 +98,16 @@ def test_sieve_self_checks(capsys):
 
 
 def test_sieve_limit_past_exactness_cap_exits_two(capsys, monkeypatch):
+    # Refused in the flag's terms, before any table is allocated.
     def no_sieve(limit):
         raise AssertionError("a table was allocated before the limit was checked")
 
     monkeypatch.setattr(cli.primes, "_mangoldt_base", no_sieve)
-    code, out, err = run_cli(capsys, ["sieve", "--limit", "90000001"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    for limit in ("0", "90000001"):
+        code, out, err = run_cli(capsys, ["sieve", "--limit", limit])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --limit must be in [1, 90000000], got {limit}\n"
 
 
 # ----------------------------------------------------------------------

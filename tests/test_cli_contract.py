@@ -7,7 +7,7 @@ integers, empty and non-numeric text, sizes just past each ``verify`` cap,
 an unwritable ``--out``) plus one small valid value, so that passing runs
 are drawn too (half the draws).  Prime tables above 10**4 entries are refused by a stub, so
 no example sieves more than that; limits outside ``build_table``'s own
-range still reach its real refusal.
+range still reach the CLI's real refusal.
 """
 
 import contextlib
@@ -130,8 +130,9 @@ def _error_line(capsys, argv):
 def test_huge_limit_is_named_by_its_digit_count(capsys):
     # argparse accepts up to 4,300 digits; the refusal comes before any allocation.
     line = _error_line(capsys, ["sieve", "--limit", "1" + "0" * 4000])
-    assert line == f"error: build_table requires 1 <= limit <= {primes.MAX_LIMIT}, " \
-        "got an integer of 4001 digits"
+    assert line == (
+        f"error: --limit must be in [1, {primes.MAX_LIMIT}], got an integer of 4001 digits"
+    )
     line = _error_line(capsys, ["table", "--kind", "psi1", "--x", "5," + "9" * 400])
     assert line.endswith("got an integer of 400 digits")
 

@@ -3,10 +3,11 @@
 ``run_suite("all")`` eliminates each (alpha, beta) Hankel matrix once and
 hands the determinants to the identities and Selberg suites; these tests
 pin that its report is the concatenation of the suites run alone, that
-the specialised lemma is eliminated once per (alpha, beta) for the lemma
-check and once per beta, at alpha = 2, for the consecutive-index check
-(its rows are that matrix), and that every grid and sweep is rebuilt on
-every call rather than cached.
+the specialised lemma is eliminated once per (alpha, beta) of its grid,
+the sweeps read by both the lemma check and the consecutive-index check
+(whose rows are that matrix at alpha = 2, swept apart only when alpha = 2
+is outside the grid), and that every grid and sweep is rebuilt on every
+call rather than cached.
 """
 
 import dataclasses
@@ -51,17 +52,18 @@ def _count_calls(monkeypatch, name):
 def test_one_elimination_per_alpha_beta_per_call(monkeypatch, suite, eliminations):
     identities = suite in ("all", "identities")
     count = 5
-    # (9, 7) is past the lemma sweep's caps (8, 6) and the consecutive one's (6, 5).
-    for max_n, max_ab in [(5, 4), (9, 7)]:
+    # (9, 7) is past the lemma sweep's caps (8, 6); at max_ab = 1, alpha = 2
+    # is outside the lemma grid.
+    for max_n, max_ab in [(5, 4), (9, 7), (7, 1)]:
         dets = _count_calls(monkeypatch, "hankel_dets")
         single = _count_calls(monkeypatch, "hankel_det")
         lemma = _count_calls(monkeypatch, "specialized_lemma_sides")
         random_lemma = _count_calls(monkeypatch, "krattenthaler_sides")
-        lemma_ab, consecutive_b = range(1, min(max_ab, 6) + 1), range(1, min(max_ab, 5) + 1)
-        # One sweep per (alpha, beta) for the lemma check, and one per beta
-        # at alpha = 2 for the consecutive-index check.
+        lemma_ab = range(1, min(max_ab, 6) + 1)
+        # One sweep per (alpha, beta) of the lemma grid, which the
+        # consecutive-index check reads at alpha = 2, plus (2, 1) at max_ab = 1.
         sweeps = [(a, b, min(max_n, 8)) for a in lemma_ab for b in lemma_ab]
-        sweeps += [(2, b, min(max_n, 6)) for b in consecutive_b]
+        sweeps += [(2, 1, min(max_n, 8))] if max_ab == 1 else []
         for call in (1, 2):
             suites.run_suite(suite, max_n=max_n, max_ab=max_ab, max_ij=3, count=count, seed=0)
             # A second call eliminates again: no grid or sweep outlives the call.
