@@ -162,7 +162,7 @@ def chain_partial_sum(s: float, k_max: int) -> float:
     tail is below 1e-11 throughout [0.1, 0.9].
     """
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {_shown(k_max)}")
     co = chain_constant(s)
     first = co.g / (4.0 * (s + 1.0) ** 2)
     return math.fsum(accumulate(repeat(co.rho * co.rho, k_max), mul, initial=first))
@@ -288,7 +288,7 @@ def empirical_table(
         c_star = optimize_s(0.01, 0.99, 1e-9).c_star
     for x in xs:
         if not isinstance(x, int) or x < 1:
-            raise ValueError(f"table points must be integers >= 1, got {x!r}")
+            raise ValueError(f"table points must be integers >= 1, got {_shown(x)}")
         _check_range(table, x, 0)
     # One vector read: each value is the float psi1(table, x) returns.
     values = _psi1_at(table, xs)[0].tolist()

@@ -56,19 +56,19 @@ k-th leading principal minor (Sylvester's identity), and H_n is the
 leading block of H_max_n, so one elimination per (alpha, beta) gives
 det H for every n up to max_n; its moments (beta-1)!/(x)_beta come from
 :func:`beta_moment`, 2n-1 distinct ones per matrix, each row cleared to
-integers over the lcm of its denominators.  A generalized matrix is built
-already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! is the lemma row
-at X = x, B_t = t, A_t = t+beta, with integer entries
-(x+2)_{j-1} (x+j+beta+1)_{n-j}, so the lemma's row builder
-(:func:`_lemma_rows`, one prefix and one suffix product per row) builds
-it too.  An entry is never a Fraction there, and each value (a determinant, a closed form, a
-scaled entry) is one Fraction, reduced once.  The specialised lemma
-matrices are nested too, up to a row scaling: the suffix product of a
-row at size N has N-n more factors than at size n, so the leading n x n
-block of the size-N matrix is the size-n matrix with row i times
-(i+alpha+beta+n-2)_{N-n}.  One elimination per (alpha, beta) gives every
-n, each pivot divided exactly by its rows' scalings
-(:func:`specialized_lemma_sides`).  The consecutive-index rows
+integers over the lcm of its denominators.  A generalized matrix is
+built already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! is the
+lemma row at X = x, B_t = t, A_t = t+beta, with integer entries
+(x+2)_{j-1} (x+j+beta+1)_{n-j}, so :func:`lemma_rows`, the one builder
+of lemma matrices (one prefix and one suffix product per row), builds it
+too.  An entry is never a Fraction there, and each value (a determinant,
+a closed form, an lcm-scaled entry) is one Fraction, reduced once.  The
+specialised lemma matrices are nested too, up to a row scaling: the
+suffix product of a row at size N has N-n more factors than at size n,
+so the leading n x n block of the size-N matrix is the size-n matrix
+with row i times (i+alpha+beta+n-2)_{N-n}.  One elimination per
+(alpha, beta) gives every n, each pivot divided exactly by its rows'
+scalings (:func:`specialized_lemma_sides`).  The consecutive-index rows
 x = 0..n-1 are that matrix at alpha = 2, entry for entry, so the same
 sweep serves them.  No pivot is zero, because no lemma product is for
 beta >= 1; a zero pivot or a remainder is refused as a fault.
@@ -90,7 +90,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import factorial_ratio, pochhammer
+from .exact import _shown, factorial_ratio, pochhammer
 from .primes import lcm_upto
 
 # ----------------------------------------------------------------------
@@ -110,7 +110,7 @@ class HankelSpec:
         for name in ("alpha", "beta", "n"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise ValueError(f"HankelSpec.{name} must be an integer >= 1, got {v!r}")
+                raise ValueError(f"HankelSpec.{name} must be an integer >= 1, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,11 @@ class GeneralizedSpec:
         if len(self.xs) < 1:
             raise ValueError("GeneralizedSpec needs at least one index")
         if any((not isinstance(v, int)) or v < 0 for v in self.xs):
-            raise ValueError(f"indices must be integers >= 0, got {self.xs!r}")
+            raise ValueError(f"indices must be integers >= 0, got {_shown(self.xs)}")
         if len(set(self.xs)) != len(self.xs):
-            raise ValueError(f"indices must be distinct, got {self.xs!r}")
+            raise ValueError(f"indices must be distinct, got {_shown(self.xs)}")
         if not isinstance(self.beta, int) or self.beta < 1:
-            raise ValueError(f"beta must be an integer >= 1, got {self.beta!r}")
+            raise ValueError(f"beta must be an integer >= 1, got {_shown(self.beta)}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,12 @@ class SelbergSpec:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError(
-                f"SelbergSpec needs finite alpha, beta > 0, got {(self.alpha, self.beta)!r}"
+                f"SelbergSpec needs finite alpha, beta > 0, got {_shown((self.alpha, self.beta))}"
             )
         for name in ("gamma", "n"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise ValueError(f"SelbergSpec.{name} must be an integer >= 1, got {v!r}")
+                raise ValueError(f"SelbergSpec.{name} must be an integer >= 1, got {_shown(v)}")
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +291,7 @@ def beta_moment(x: int, beta: int) -> Fraction:
 def hankel_entry(spec: HankelSpec, i: int, j: int) -> Fraction:
     """Entry (beta-1)! / (alpha+i+j-2)_beta at position (i, j), 1-based."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
-        raise ValueError(f"entry index ({i}, {j}) outside 1..{spec.n}")
+        raise ValueError(f"entry index {_shown((i, j))} outside 1..{spec.n}")
     return beta_moment(spec.alpha + i + j - 2, spec.beta)
 
 
@@ -349,7 +349,7 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
     integrality inequality.
     """
     if alpha < 1 or beta < 1 or m < 2:
-        raise ValueError(f"need alpha, beta >= 1 and m >= 2, got {(alpha, beta, m)}")
+        raise ValueError(f"need alpha, beta >= 1 and m >= 2, got {_shown((alpha, beta, m))}")
     lo = alpha + m - 2
     scale = math.lcm(*range(lo, lo + beta))
     total = 0
@@ -364,14 +364,10 @@ def partial_fraction_sum(alpha: int, beta: int, m: int) -> Fraction:
 # ----------------------------------------------------------------------
 
 
-def krattenthaler_matrix(inst: KrattenthalerInstance) -> list[list[int]]:
-    """Matrix with entry (i, j) = prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t)."""
-    return _lemma_rows(inst.x, inst.a, inst.b)
+def lemma_rows(x: Iterable[int], a: Sequence[int], b: Iterable[int]) -> list[list[int]]:
+    """The lemma matrix at X = ``x``, A_{t+2} = ``a[t]``, B_{t+2} = ``b[t]``, unvalidated.
 
-
-def _lemma_rows(x: Iterable[int], a: Sequence[int], b: Iterable[int]) -> list[list[int]]:
-    """The lemma rows at X = ``x``, A_{t+2} = ``a[t]``, B_{t+2} = ``b[t]``, unvalidated.
-
+    Entry (i, j) is prod_{t=2}^{j} (X_i+B_t) * prod_{t=j+1}^{n} (X_i+A_t).
     Row i is the prefix products of X_i+B_t, each times the matching
     suffix product of X_i+A_t, so a row costs O(n) multiplications, not
     O(n^2).
@@ -397,7 +393,7 @@ def krattenthaler_sides(inst: KrattenthalerInstance) -> tuple[int, int]:
     of (B_i - A_j).
     """
     vandermonde = math.prod(itertools.starmap(operator.sub, itertools.combinations(inst.x, 2)))
-    return bareiss_det(krattenthaler_matrix(inst)), vandermonde * math.prod(
+    return bareiss_det(lemma_rows(inst.x, inst.a, inst.b)), vandermonde * math.prod(
         bi - aj for i, bi in enumerate(inst.b) for aj in inst.a[i:]
     )
 
@@ -450,7 +446,8 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
     ``RuntimeError`` as a fault.  The product comes from the closed form,
     factor by factor, not from the elimination.
     """
-    rows = krattenthaler_matrix(specialize_to_hankel(HankelSpec(alpha, beta, max_n)))
+    inst = specialize_to_hankel(HankelSpec(alpha, beta, max_n))
+    rows = lemma_rows(inst.x, inst.a, inst.b)
     sides, rhs, fact = [], 1, math.factorial(beta - 1)
     for n, pivot in enumerate(_bareiss_pivots(rows, swap=False), 1):
         growth = math.prod(pochhammer(i + alpha + beta + n - 1, max_n - n) for i in range(n))
@@ -473,29 +470,18 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
-    """d = lcm(1..cutoff) and the entry scaled by it (an integer >= 1 when valid)."""
+def basic_integrality(alpha: int, beta: int, i: int, j: int) -> Fraction:
+    """The (i, j) entry times d_{alpha+beta+i+j-1}; the result is a positive integer.
 
-    cutoff: int
-    d: int
-    scaled: Fraction
-
-
-def basic_integrality(alpha: int, beta: int, i: int, j: int) -> IntegralityWitness:
-    """Scale the (i, j) entry by d_{alpha+beta+i+j-1}; the result is integral.
-
-    Wasteful on purpose: the partial-fraction denominators only reach
+    That is d * (beta-1)! / (alpha+i+j-2)_beta, as one Fraction.  Wasteful
+    on purpose: the partial-fraction denominators only reach
     alpha+beta+i+j-3, so the lcm cutoff has two spare indices.  The
     sharper per-row inequality is :func:`improved_product`.
     """
     if min(alpha, beta, i, j) < 1:
-        raise ValueError(f"all of alpha, beta, i, j must be >= 1, got {(alpha, beta, i, j)}")
-    cutoff = alpha + beta + i + j - 1
-    d = lcm_upto(cutoff)
-    # d * beta_moment(alpha+i+j-2, beta), as one Fraction
-    scaled = Fraction(d * math.factorial(beta - 1), pochhammer(alpha + i + j - 2, beta))
-    return IntegralityWitness(cutoff=cutoff, d=d, scaled=scaled)
+        raise ValueError(f"all of alpha, beta, i, j must be >= 1, got {_shown((alpha, beta, i, j))}")
+    d = lcm_upto(alpha + beta + i + j - 1)
+    return Fraction(d * math.factorial(beta - 1), pochhammer(alpha + i + j - 2, beta))
 
 
 def improved_product(spec: HankelSpec) -> Fraction:
@@ -529,14 +515,14 @@ def generalized_lhs(spec: GeneralizedSpec) -> Fraction:
     """det( (beta-1)! / (x_i+j+1)_beta )_{i,j=1..n}, by one integer elimination.
 
     Row i, times its scale (x_i+2)_{beta+n-1} / (beta-1)!, is the lemma
-    row at X = x_i, B = 2..n, A = beta+2..beta+n (:func:`_lemma_rows`);
+    row at X = x_i, B = 2..n, A = beta+2..beta+n (:func:`lemma_rows`);
     the determinant of those integer rows over the product of the scales
     is the only Fraction.
     """
     xs, b = spec.xs, spec.beta
     n = len(xs)
     scales = math.prod(pochhammer(x + 2, b + n - 1) for x in xs)
-    rows = _lemma_rows(xs, range(b + 2, b + n + 1), range(2, n + 1))
+    rows = lemma_rows(xs, range(b + 2, b + n + 1), range(2, n + 1))
     return Fraction(bareiss_det(rows) * math.factorial(b - 1) ** n, scales)
 
 
@@ -559,18 +545,14 @@ def generalized_rhs(spec: GeneralizedSpec) -> Fraction:
 
 
 def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
-    """rhs of the generalized identity, indices sorted ascending, times prod_i d_{x_i+beta+n}.
+    """|rhs of the generalized identity| times prod_i d_{x_i+beta+n}; always >= 1.
 
-    Sorting makes the Vandermonde factor positive, so the scaled quantity
-    is a positive integer-bounded value >= 1.
+    Sorting the indices ascending would make the Vandermonde factor
+    positive, and only its sign depends on their order, so the absolute
+    value is that sorted rhs.
     """
-    xs = tuple(sorted(spec.xs))
-    rhs = generalized_rhs(GeneralizedSpec(xs=xs, beta=spec.beta))
-    scale = 1
-    n = len(xs)
-    for x in xs:
-        scale *= lcm_upto(x + spec.beta + n)
-    return scale * rhs
+    n = len(spec.xs)
+    return abs(generalized_rhs(spec)) * math.prod(lcm_upto(x + spec.beta + n) for x in spec.xs)
 
 
 def random_generalized(
@@ -580,11 +562,6 @@ def random_generalized(
     n = rng.randint(1, max_n)
     xs = tuple(rng.sample(range(max_index + 1), n))
     return GeneralizedSpec(xs=xs, beta=rng.randint(1, max_beta))
-
-
-def consecutive_spec(alpha_two_n: int, beta: int) -> GeneralizedSpec:
-    """x_i = i - 1 for i = 1..n: the generalized identity collapses to alpha = 2."""
-    return GeneralizedSpec(xs=tuple(range(alpha_two_n)), beta=beta)
 
 
 # ----------------------------------------------------------------------

@@ -162,7 +162,9 @@ def _digits(k: int) -> int:
 
 
 def _shown(k) -> str:
-    """k as a message shows it: an int of more than 30 digits by its digit count."""
+    """k as a message shows it: an int over 30 digits by its digit count, a tuple item by item."""
+    if isinstance(k, tuple):
+        return f"({', '.join(map(_shown, k))}{',' * (len(k) == 1)})"
     if isinstance(k, int) and abs(k) >= 10**30:
         return f"{'a negative' if k < 0 else 'an'} integer of {_digits(k)} digits"
     return repr(k)
@@ -214,7 +216,7 @@ def factorial_ratio(top: Iterable[int], bottom: Iterable[int]) -> Fraction:
 def pochhammer(x: int, k: int) -> int:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), exactly; (x)_0 = 1."""
     if x < 1:
-        raise ValueError(f"pochhammer requires x >= 1, got {x}")
+        raise ValueError(f"pochhammer requires x >= 1, got {_shown(x)}")
     if k < 0:
-        raise ValueError(f"pochhammer requires k >= 0, got {k}")
+        raise ValueError(f"pochhammer requires k >= 0, got {_shown(k)}")
     return math.prod(range(x, x + k))

@@ -177,6 +177,8 @@ class PrimeTable:
 
 def build_table(limit: int) -> PrimeTable:
     """Sieve and accumulate the run arrays up to ``limit`` (1 <= limit <= MAX_LIMIT)."""
+    if type(limit) is not int:  # bool included
+        raise ValueError(f"build_table requires an int limit, got {_shown(limit)}")
     if not 1 <= limit <= MAX_LIMIT:
         raise ValueError(f"build_table requires 1 <= limit <= {MAX_LIMIT}, got {_shown(limit)}")
     starts, powers, roots = _mangoldt_base(limit)
@@ -218,9 +220,7 @@ def build_table(limit: int) -> PrimeTable:
 
 def _check_range(table: PrimeTable, x: float, lo: float) -> int:
     if not (lo <= x <= table.limit):
-        raise ValueError(
-            f"argument {x} outside table range [{lo}, {table.limit}]"
-        )
+        raise ValueError(f"argument {_shown(x)} outside table range [{lo}, {table.limit}]")
     return int(math.floor(x))
 
 
@@ -322,19 +322,16 @@ def psi1_increment(table: PrimeTable, m: int) -> float:
 # ----------------------------------------------------------------------
 
 def lcm_upto(m: int) -> int:
-    """d_m = lcm(1, 2, ..., m) by a pairwise fold, with a bounded cache."""
+    """d_m = lcm(1, ..., m), one pairwise fold on from the cache of d_k, k <= _LCM_CACHE_MAX."""
     if m < 1:
-        raise ValueError(f"lcm_upto requires m >= 1, got {m}")
-    if m < len(_LCM):
-        return _LCM[m]
-    top = min(m, _LCM_CACHE_MAX)
-    while len(_LCM) <= top:
-        _LCM.append(math.lcm(_LCM[-1], len(_LCM)))
+        raise ValueError(f"lcm_upto requires m >= 1, got {_shown(m)}")
     if m < len(_LCM):
         return _LCM[m]
     v = _LCM[-1]
     for k in range(len(_LCM), m + 1):
         v = math.lcm(v, k)
+        if k <= _LCM_CACHE_MAX:
+            _LCM.append(v)
     return v
 
 
@@ -346,7 +343,7 @@ def lcm_upto_prime_powers(m: int) -> int:
     first power.
     """
     if m < 1:
-        raise ValueError(f"lcm_upto_prime_powers requires m >= 1, got {m}")
+        raise ValueError(f"lcm_upto_prime_powers requires m >= 1, got {_shown(m)}")
     r = math.isqrt(m)
     is_prime = bytearray([0, 0]) + bytearray([1]) * (m - 1)
     for p in range(2, r + 1):

@@ -90,13 +90,10 @@ def to_json(report: RunReport) -> str:
 
 def to_csv(report: RunReport) -> str:
     """One row per check: name, status, cases, witness as packed key=value."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "status", "cases", "witness"])
-    for c in report.checks:
-        packed = "; ".join(f"{k}={_cell(v)}" for k, v in c.witness.items())
-        w.writerow([c.name, c.status, c.cases, packed])
-    return buf.getvalue()
+    return rows_to_csv(["name", "status", "cases", "witness"], [
+        [c.name, c.status, c.cases, "; ".join(f"{k}={_cell(v)}" for k, v in c.witness.items())]
+        for c in report.checks
+    ])
 
 
 def to_text(report: RunReport) -> str:

@@ -140,7 +140,7 @@ def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: i
     def entry_cases() -> Iterator[tuple[tuple, bool]]:
         ab, ij = range(1, max_ab + 1), range(1, max_ij + 1)
         for v in itertools.product(ab, ab, ij, ij):
-            scaled = det.basic_integrality(*v).scaled
+            scaled = det.basic_integrality(*v)
             yield v, scaled.denominator == 1 and scaled.numerator >= 1
 
     # Every entry is checked before the first improved product is built.

@@ -132,14 +132,66 @@ def test_log_delta_large_n_runs():
 S_SWEEP = (0.05, 0.15, S_TARGET, 0.8, 1.0)
 
 
+def _primes_upto(m: int) -> list[int]:
+    sieve = bytearray([0, 0]) + bytearray([1]) * (m - 1)
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p in range(m + 1) if sieve[p]]
+
+
+def _legendre(m: int, p: int) -> int:
+    """v_p(m!) = sum_k floor(m / p^k)."""
+    v, q = 0, p
+    while q <= m:
+        v, q = v + m // q, q * p
+    return v
+
+
+def _delta_ledger(p: bounds.BoundParams) -> dict[int, int]:
+    """{q: v_q(Delta_n)} over primes q, from Delta_n = prod_{j<n} (a+j-1)!^2 j! / (2a+n+j-2)!.
+
+    Each exponent is a sum of Legendre counts, so no factorial is built.
+    """
+    a, n = p.a, p.n
+    return {
+        q: sum(
+            2 * _legendre(a + j - 1, q) + _legendre(j, q) - _legendre(2 * a + n + j - 2, q)
+            for j in range(n)
+        )
+        for q in _primes_upto(2 * a + 2 * n - 3)
+    }
+
+
+def _ledger_fraction(ledger: dict[int, int]) -> Fraction:
+    return Fraction(
+        math.prod(q**v for q, v in ledger.items() if v > 0),
+        math.prod(q**-v for q, v in ledger.items() if v < 0),
+    )
+
+
+def test_delta_ledger_equals_exact_value():
+    # The ledger's witness: exactly delta_exact wherever that is cheap to build.
+    cases = [(s, n) for s in S_SWEEP for n in range(1, 61)] + [(0.05, 200)]
+    for s, n in cases:
+        if math.floor(s * n) < 1:
+            continue
+        p = bounds.BoundParams(s=s, n=n)
+        assert _ledger_fraction(_delta_ledger(p)) == bounds.delta_exact(p), (s, n)
+
+
 def test_log_delta_matches_exact_value_to_n_two_hundred():
-    # delta_exact(200) takes a few tenths of a second, so only two n above 60.
+    # delta_exact at n <= 60; above, the prime-exponent ledger, which equals
+    # it exactly (test_delta_ledger_equals_exact_value), as sum v_q ln q.
     for s in S_SWEEP:
         for n in [*range(1, 61), 100, 200]:
             if math.floor(s * n) < 1:
                 continue
             p = bounds.BoundParams(s=s, n=n)
-            oracle = _log_fraction(bounds.delta_exact(p))
+            if n <= 60:
+                oracle = _log_fraction(bounds.delta_exact(p))
+            else:
+                oracle = math.fsum(v * math.log(q) for q, v in _delta_ledger(p).items())
             assert abs(bounds.log_delta(p) - oracle) <= 1e-13 * abs(oracle), (s, n)
 
 

@@ -325,8 +325,8 @@ def test_lemma_fixtures():
     inst3 = det.KrattenthalerInstance(x=(1, 2, 4), a=(0, 5), b=(3, -1))
     lhs, rhs = det.krattenthaler_sides(inst3)
     assert lhs == rhs
-    assert lhs == det.bareiss_det(det.krattenthaler_matrix(inst3))
-    assert lhs == _cofactor_det(det.krattenthaler_matrix(inst3))
+    assert lhs == det.bareiss_det(det.lemma_rows(inst3.x, inst3.a, inst3.b))
+    assert lhs == _cofactor_det(det.lemma_rows(inst3.x, inst3.a, inst3.b))
 
 
 def test_lemma_analytic_orders_one_and_two():
@@ -375,14 +375,14 @@ def _krattenthaler_entrywise(inst):
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_krattenthaler_matrix_matches_entrywise_products(seed, max_n):
     inst = det.random_krattenthaler(random.Random(seed), max_n=max_n)
-    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
+    assert det.lemma_rows(inst.x, inst.a, inst.b) == _krattenthaler_entrywise(inst)
 
 
 @_PROPERTY
 @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 12))
 def test_specialised_lemma_matrix_matches_entrywise_products(n, alpha, beta):
     inst = det.specialize_to_hankel(det.HankelSpec(alpha, beta, n))
-    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
+    assert det.lemma_rows(inst.x, inst.a, inst.b) == _krattenthaler_entrywise(inst)
 
 
 def test_specialization_fixtures():
@@ -431,7 +431,8 @@ def test_consecutive_sweep_equals_generalized_lhs_at_each_n():
         assert len(sweep) == 6
         for n, (lhs, _, num, den) in enumerate(sweep, 1):
             assert type(lhs) is int
-            assert Fraction(lhs * den, num) == det.generalized_lhs(det.consecutive_spec(n, beta))
+            spec = det.GeneralizedSpec(tuple(range(n)), beta)
+            assert Fraction(lhs * den, num) == det.generalized_lhs(spec)
         for big_n in range(1, 6):
             assert det.specialized_lemma_sides(2, beta, big_n) == sweep[:big_n]
 
@@ -452,7 +453,7 @@ def test_nested_sweeps_refuse_a_doctored_matrix(monkeypatch, rows, fault):
     # The sweep's first row growth at 1 <= k < N is at least 2, so a unit
     # first pivot leaves a remainder; a zero pivot must not become a minor.
     n = len(rows)
-    monkeypatch.setattr(det, "krattenthaler_matrix", lambda inst: [r[:] for r in rows])
+    monkeypatch.setattr(det, "lemma_rows", lambda x, a, b: [r[:] for r in rows])
     with pytest.raises(RuntimeError, match=fault):
         det.specialized_lemma_sides(1, 1, n)
 
@@ -465,12 +466,10 @@ def test_nested_sweeps_refuse_a_doctored_matrix(monkeypatch, rows, fault):
 def test_basic_integrality_fixtures():
     # Cutoff is alpha+beta+i+j-1 throughout, so at (1,1,1,1) the scale is
     # lcm(1..3) = 6 and the scaled unit entry is 6.
-    w = det.basic_integrality(1, 1, 1, 1)
-    assert (w.cutoff, w.d, w.scaled) == (3, 6, 6)
-    w = det.basic_integrality(1, 2, 1, 1)
-    assert (w.d, w.scaled) == (12, 6)
-    w = det.basic_integrality(2, 3, 1, 1)
-    assert (w.d, w.scaled) == (60, 5)
+    assert (lcm_upto(3), det.basic_integrality(1, 1, 1, 1)) == (6, 6)
+    assert (lcm_upto(4), det.basic_integrality(1, 2, 1, 1)) == (12, 6)
+    assert (lcm_upto(6), det.basic_integrality(2, 3, 1, 1)) == (60, 5)
+    assert type(det.basic_integrality(2, 3, 1, 1)) is Fraction
 
 
 def test_basic_integrality_grid():
@@ -480,8 +479,8 @@ def test_basic_integrality_grid():
             for i in range(1, 7):
                 for j in range(1, 7):
                     w = det.basic_integrality(alpha, beta, i, j)
-                    assert w.scaled.denominator == 1
-                    assert w.scaled >= 1
+                    assert w.denominator == 1
+                    assert w >= 1
 
 
 def test_basic_integrality_validation():
@@ -581,7 +580,7 @@ def test_generalized_rhs_is_closed_form_side():
 def test_consecutive_indices_collapse_to_hankel():
     for n in range(1, 7):
         for beta in range(1, 6):
-            lhs, rhs = det.generalized_sides(det.consecutive_spec(n, beta))
+            lhs, rhs = det.generalized_sides(det.GeneralizedSpec(tuple(range(n)), beta))
             assert lhs == rhs
             assert lhs == det.closed_form_det(det.HankelSpec(alpha=2, beta=beta, n=n))
 
@@ -639,7 +638,7 @@ def test_generalized_rows_are_scaled_beta_moments():
     # Lemma rows at X = x, B = 2..n, A = beta+2..beta+n, as generalized_lhs builds them.
     for n in range(1, 7):
         for beta in range(1, 7):
-            rows = det._lemma_rows(range(31), range(beta + 2, beta + n + 1), range(2, n + 1))
+            rows = det.lemma_rows(range(31), range(beta + 2, beta + n + 1), range(2, n + 1))
             assert len(rows) == 31
             for x, row in enumerate(rows):
                 scale = Fraction(pochhammer(x + 2, beta + n - 1), factorial(beta - 1))
@@ -666,8 +665,7 @@ def test_generalized_lhs_is_the_scaled_lemma(xs, beta):
 def test_basic_integrality_is_lcm_times_beta_moment():
     for alpha, beta, i, j in itertools.product(range(1, 9), repeat=4):
         w = det.basic_integrality(alpha, beta, i, j)
-        assert w.cutoff == alpha + beta + i + j - 1
-        assert w.scaled == lcm_upto(w.cutoff) * det.beta_moment(alpha + i + j - 2, beta)
+        assert w == lcm_upto(alpha + beta + i + j - 1) * det.beta_moment(alpha + i + j - 2, beta)
 
 
 @_PROPERTY
@@ -675,7 +673,7 @@ def test_basic_integrality_is_lcm_times_beta_moment():
 def test_krattenthaler_matrix_and_product_match_their_definitions(x, data):
     params = st.lists(st.integers(-60, 60), min_size=len(x) - 1, max_size=len(x) - 1)
     inst = det.KrattenthalerInstance(x=tuple(x), a=tuple(data.draw(params)), b=tuple(data.draw(params)))
-    assert det.krattenthaler_matrix(inst) == _krattenthaler_entrywise(inst)
+    assert det.lemma_rows(inst.x, inst.a, inst.b) == _krattenthaler_entrywise(inst)
     lhs, rhs = det.krattenthaler_sides(inst)
     assert rhs == _krattenthaler_product(inst)
     assert lhs == rhs

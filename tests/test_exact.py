@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primebound import exact
+from primebound import bounds, exact, primes
+from primebound import determinants as det
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +124,49 @@ def test_log_superfactorial_rejects_negative():
     for k, digits in ((-1, 1), (-(10**5000), 5001)):
         with pytest.raises(ValueError, match=f"k >= 0, got a negative k of {digits} digits"):
             exact.log_superfactorial(k)
+
+
+_BIG = 10**5000
+
+# Each call refuses an int past Python's 4,300-digit str limit.
+_HUGE_REFUSALS = {
+    "psi": lambda t: primes.psi(t, _BIG),
+    "psi_negative": lambda t: primes.psi(t, -_BIG),
+    "psi1": lambda t: primes.psi1(t, _BIG),
+    "mangoldt": lambda t: primes.mangoldt(t, _BIG),
+    "psi1_increment": lambda t: primes.psi1_increment(t, -_BIG),
+    "lcm_upto": lambda t: primes.lcm_upto(-_BIG),
+    "lcm_upto_prime_powers": lambda t: primes.lcm_upto_prime_powers(-_BIG),
+    "pochhammer_x": lambda t: exact.pochhammer(-_BIG, 1),
+    "pochhammer_k": lambda t: exact.pochhammer(1, -_BIG),
+    "HankelSpec": lambda t: det.HankelSpec(1, -_BIG, 1),
+    "GeneralizedSpec_xs": lambda t: det.GeneralizedSpec((0, -_BIG), 1),
+    "GeneralizedSpec_beta": lambda t: det.GeneralizedSpec((0,), -_BIG),
+    "SelbergSpec": lambda t: det.SelbergSpec(-_BIG, 1.0, 1, 1),
+    "SelbergSpec_n": lambda t: det.SelbergSpec(1.0, 1.0, 1, -_BIG),
+    "hankel_entry": lambda t: det.hankel_entry(det.HankelSpec(1, 1, 2), _BIG, 1),
+    "partial_fraction_sum": lambda t: det.partial_fraction_sum(1, 1, -_BIG),
+    "basic_integrality": lambda t: det.basic_integrality(1, 1, 1, -_BIG),
+    "empirical_table": lambda t: bounds.empirical_table(t, [_BIG], c_star=0.5),
+    "empirical_table_negative": lambda t: bounds.empirical_table(t, [-_BIG], c_star=0.5),
+    "chain_partial_sum": lambda t: bounds.chain_partial_sum(0.5, -_BIG),
+}
+
+
+@pytest.mark.parametrize("name", _HUGE_REFUSALS)
+def test_refusals_name_a_huge_int_by_its_digits(table_small, name):
+    # str() of such an int raises Python's own "Exceeds the limit" error,
+    # so each message names the value through exact._shown.
+    with pytest.raises(ValueError) as info:
+        _HUGE_REFUSALS[name](table_small)
+    assert "integer of 5001 digits" in str(info.value)
+    assert "Exceeds" not in str(info.value)
+
+
+def test_shown_tuples_read_as_their_repr():
+    for v in ((), (1,), (1, -2), (0.5, 3), ("a", (1,))):
+        assert exact._shown(v) == repr(v)
+    assert exact._shown((1, -_BIG)) == "(1, a negative integer of 5001 digits)"
 
 
 def _no_growth(*args):

@@ -117,6 +117,14 @@ def test_build_table_rejects_bad_limit():
         primes.build_table(-3)
 
 
+@pytest.mark.parametrize("limit", [100.0, True, np.int64(100), "100"])
+def test_build_table_refuses_a_limit_that_is_not_an_int(limit):
+    # A float limit reached numpy as a TypeError, and True built a table
+    # whose limit was True.
+    with pytest.raises(ValueError, match="build_table requires an int limit"):
+        primes.build_table(limit)
+
+
 def _no_sieve(limit):
     raise AssertionError("a table was allocated before the limit was checked")
 
@@ -456,6 +464,19 @@ def test_dual_lcm_routes_agree_to_ten_thousand():
             assert primes.lcm_upto_prime_powers(m) == pp
         if m in checkpoints:
             assert primes.lcm_upto(m) == fold
+
+
+def test_lcm_fold_fills_the_cache_to_its_bound(monkeypatch):
+    # From an empty cache and from a partly grown one, the fold past the
+    # bound caches d_m for every m <= _LCM_CACHE_MAX and for no m above it.
+    for first in (1, 10):
+        monkeypatch.setattr(primes, "_LCM", [1, 1])
+        primes.lcm_upto(first)
+        assert len(primes._LCM) == first + 1
+        assert primes.lcm_upto(5000) == primes.lcm_upto_prime_powers(5000)
+        assert len(primes._LCM) == primes._LCM_CACHE_MAX + 1
+        for m in (1, 2, 10, 11, 1000, 2047, 2048):
+            assert primes._LCM[m] == primes.lcm_upto_prime_powers(m)
 
 
 def test_lcm_cache_boundary_consistency():

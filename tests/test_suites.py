@@ -10,7 +10,6 @@ is outside the grid), and that every grid and sweep is rebuilt on every
 call rather than cached.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -99,7 +98,7 @@ _FAULTS = [
      lambda v: [(d + (n > 1), *rest) for n, (d, *rest) in enumerate(v, 1)]),
     ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
     ("basic_integrality", lambda a, b, i, j: i == j == 2 or a == 2,
-     lambda w: dataclasses.replace(w, scaled=w.scaled + Fraction(1, 2))),
+     lambda v: v + Fraction(1, 2)),
     ("improved_product", lambda s: s.n == 2 or s.beta == 3, lambda v: Fraction(0)),
     ("generalized_inequality", lambda s: len(s.xs) == 2, lambda v: Fraction(1, 2)),
     ("selberg_rhs_exact", lambda s: s.gamma == 1 and (s.n == 2 or s.alpha == 3),
