@@ -160,6 +160,8 @@ class SelbergSpec:
 
     alpha and beta may be any finite positive reals; gamma and n must be
     positive integers (the only regime the closed product needs here).
+    alpha, beta and gamma must also convert to a float, as the float
+    product and the quadrature read them as floats.
     """
 
     alpha: float
@@ -176,6 +178,14 @@ class SelbergSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"SelbergSpec.{name} must be an integer >= 1, got {_shown(v)}")
+        for name in ("alpha", "beta", "gamma"):
+            v = getattr(self, name)
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(
+                    f"SelbergSpec.{name} is too large for a float, got {_shown(v)}"
+                ) from None
 
 
 # ----------------------------------------------------------------------

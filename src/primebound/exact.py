@@ -162,11 +162,20 @@ def _digits(k: int) -> int:
 
 
 def _shown(k) -> str:
-    """k as a message shows it: an int over 30 digits by its digit count, a tuple item by item."""
+    """k as a message shows it: an int over 30 digits by its digit count, a tuple item by item.
+
+    A ``Fraction`` reads as its ``str``, ``1/3``; one whose numerator or
+    denominator has over 30 digits reads as the two digit counts.
+    """
     if isinstance(k, tuple):
         return f"({', '.join(map(_shown, k))}{',' * (len(k) == 1)})"
     if isinstance(k, int) and abs(k) >= 10**30:
         return f"{'a negative' if k < 0 else 'an'} integer of {_digits(k)} digits"
+    if isinstance(k, Fraction):
+        num, den = k.numerator, k.denominator
+        if max(abs(num), den) < 10**30:
+            return str(k)
+        return f"{'a negative' if k < 0 else 'a'} fraction of {_digits(num)}/{_digits(den)} digits"
     return repr(k)
 
 

@@ -229,9 +229,9 @@ def _integer_index(table: PrimeTable, m: int, name: str) -> int:
     try:
         idx = int(m)
     except (OverflowError, ValueError):
-        raise ValueError(f"{name} requires an integer, got {m}") from None
+        raise ValueError(f"{name} requires an integer, got {_shown(m)}") from None
     if m != idx:
-        raise ValueError(f"{name} requires an integer, got {m}")
+        raise ValueError(f"{name} requires an integer, got {_shown(m)}")
     return _check_range(table, idx, 1)
 
 

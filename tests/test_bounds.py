@@ -7,15 +7,18 @@ mpmath (derivatives, the root of c', interval signs at the bracket); the
 inequality sweeps run over a sieve table large enough for every window.
 """
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from primebound import bounds, primes
+from primebound import bounds, exact, primes
 from primebound import determinants as det
 
 S_TARGET = 0.39191162
@@ -62,6 +65,24 @@ def test_bound_params_floor_and_validation():
 def test_bound_params_refuses_s_outside_unit_interval(s):
     with pytest.raises(ValueError, match=r"s must be in \(0, 1\]"):
         bounds.BoundParams(s=s, n=5)
+
+
+def test_bound_params_contract():
+    # One hand-written __init__(s, n): frozen, positional (s, n) only, and
+    # replace and pickle behave as with the generated one.
+    p = bounds.BoundParams(0.5, 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 11
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = 1
+    with pytest.raises(TypeError):
+        bounds.BoundParams(0.5, 4, 2)
+    q = dataclasses.replace(p, n=30)
+    assert (q.s, q.n, q.a) == (0.5, 30, 15)
+    with pytest.raises(ValueError, match="floor"):
+        dataclasses.replace(p, n=1)  # replace validates through __init__
+    r = pickle.loads(pickle.dumps(p))
+    assert r == p and hash(r) == hash(p) and repr(r) == repr(p) and r.a == 5
 
 
 def test_delta_exact_fixtures():
@@ -122,6 +143,55 @@ def test_log_delta_tracks_exact_value_to_n_sixty():
             oracle = _log_fraction(bounds.delta_exact(p))
             got = bounds.log_delta(p)
             assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+
+def _log_delta_per_term(p: bounds.BoundParams) -> float:
+    """ln Delta_n(s) from five log_superfactorial calls, in log_delta's order."""
+    G = exact.log_superfactorial
+    a, n = p.a, p.n
+    return 2.0 * (G(a + n - 1) - G(a - 1)) + G(n) - (G(2 * a + 2 * n - 2) - G(2 * a + n - 2))
+
+
+def _seam_windows() -> list[bounds.BoundParams]:
+    """Windows whose top 2a+2n-2 is 2^16 - 2, 2^16 or 2^16 + 2 (a top is even)."""
+    seam = exact._LOG_SEAM
+    out = []
+    for top in (seam - 2, seam, seam + 2):
+        m = top // 2 + 1  # a + n
+        for s in (S_TARGET, 0.5, 0.8, 1.0):
+            near = int(m / (1 + s))
+            out += [
+                bounds.BoundParams(s, n)
+                for n in range(near - 2, near + 3)
+                if math.floor(s * n) + n == m
+            ]
+    assert {2 * p.a + 2 * p.n - 2 for p in out} == {seam - 2, seam, seam + 2}
+    return out
+
+
+def _log_delta_cases() -> list[bounds.BoundParams]:
+    """Every n <= 650 at five s, and the seam windows, in order of top."""
+    sweep = [
+        bounds.BoundParams(s, n)
+        for s in (S_TARGET, 0.15, 0.5, 0.8, 1.0)
+        for n in range(1, 651)
+        if math.floor(s * n) >= 1
+    ]
+    return sorted(sweep + _seam_windows(), key=lambda p: p.a + p.n)
+
+
+def test_log_delta_reads_the_table_bit_for_bit(monkeypatch):
+    # Below the seam log_delta indexes exact._LSF; above it, it calls
+    # log_superfactorial.  Both equal the per-term form exactly, also when
+    # log_delta grows the table itself from empty: the first window's top
+    # is the empty table's length.
+    cases = _log_delta_cases()
+    want = [_log_delta_per_term(p) for p in cases]
+    assert [bounds.log_delta(p) for p in cases] == want
+    monkeypatch.setattr(exact, "_LSF", [0.0, 0.0])
+    monkeypatch.setattr(exact, "_CARRY", np.zeros((2, 2), dtype=np.int64))
+    assert [bounds.log_delta(p) for p in cases] == want
+    assert len(exact._LSF) == exact._LOG_SEAM + 1
 
 
 def test_log_delta_large_n_runs():
@@ -562,6 +632,7 @@ def test_increment_check_matches_psi1_and_log_delta_route():
                 assert chk.holds == (chk.margin >= -1e-6)
                 cases += 1
     assert cases == 2 * (5 * 648 - 5)  # floor(s n) = 0 at s = 0.15, n = 3..6 and s = 0.3, n = 3
+    assert type(chk) is bounds.IncrementCheck and chk._asdict()["margin"] == chk.margin
     with pytest.raises(AttributeError):
         chk.lhs = 0.0
 

@@ -410,17 +410,16 @@ def test_asymptotic_gap_past_float_range_exits_two(capsys):
 
 
 def test_asymptotic_gap_evaluates_log_delta_once_per_row(capsys, monkeypatch):
-    # ln Delta_n is four differences of ln G values, five calls in all;
-    # both the ratio and the gap column come from that one value.
+    # Both the ratio and the gap column come from one ln Delta_n value per row.
     calls = []
-    lsf = cli.bounds.log_superfactorial
-    monkeypatch.setattr(cli.bounds, "log_superfactorial", lambda k: calls.append(k) or lsf(k))
+    log_delta = cli.bounds.log_delta
+    monkeypatch.setattr(cli.bounds, "log_delta", lambda p: calls.append(p) or log_delta(p))
     code, out, _ = run_cli(
         capsys, ["table", "--kind", "asymptotic-gap", "--n", "1000,2000,100000", "--format", "csv"]
     )
     assert code == 0
     assert len(out.splitlines()) == 4
-    assert len(calls) == 5 * 3
+    assert [p.n for p in calls] == [1000, 2000, 100000]
 
 
 @pytest.mark.parametrize(

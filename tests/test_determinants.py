@@ -68,6 +68,27 @@ def test_selberg_spec_refuses_non_finite(alpha, beta):
         det.SelbergSpec(alpha=alpha, beta=beta, gamma=1, n=2)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((10**5000, 1.0, 1, 1), "alpha is too large for a float, got an integer of 5001 digits"),
+        (
+            (1.0, Fraction(10**5000, 3), 1, 1),
+            "beta is too large for a float, got a fraction of 5001/1 digits",
+        ),
+        ((1, 1, 10**5000, 1), "gamma is too large for a float, got an integer of 5001 digits"),
+    ],
+    ids=["alpha", "beta", "gamma"],
+)
+def test_selberg_spec_refuses_a_value_past_the_float_range(args, message):
+    # Let through, selberg_rhs and quadrature_oracle raised OverflowError
+    # converting it to a float.
+    with pytest.raises(ValueError) as info:
+        det.SelbergSpec(*args)
+    assert str(info.value) == f"SelbergSpec.{message}"
+    det.SelbergSpec(10**300, 1, 1, 1)  # a float holds it
+
+
 # ----------------------------------------------------------------------
 # determinant kernels
 # ----------------------------------------------------------------------

@@ -163,6 +163,26 @@ def test_refusals_name_a_huge_int_by_its_digits(table_small, name):
     assert "Exceeds" not in str(info.value)
 
 
+@pytest.mark.parametrize("name", ["mangoldt", "psi1_increment"])
+def test_integer_index_names_a_huge_fraction_by_its_digits(table_small, name):
+    # str() of this Fraction's numerator exceeds Python's 4,300-digit limit.
+    index = getattr(primes, name)
+    with pytest.raises(ValueError) as info:
+        index(table_small, Fraction(2 * _BIG + 1, 2))
+    assert str(info.value) == f"{name} requires an integer, got a fraction of 5001/1 digits"
+    with pytest.raises(ValueError) as info:
+        index(table_small, Fraction(1, 3))
+    assert str(info.value) == f"{name} requires an integer, got 1/3"
+
+
+def test_shown_fractions_read_as_their_str():
+    assert exact._shown(Fraction(1, 3)) == "1/3"
+    assert exact._shown(Fraction(-7)) == "-7"
+    assert exact._shown(Fraction(-_BIG, 3)) == "a negative fraction of 5001/1 digits"
+    assert exact._shown(Fraction(1, _BIG)) == "a fraction of 1/5001 digits"
+    assert exact._shown((Fraction(1, 2), 1.0)) == "(1/2, 1.0)"
+
+
 def test_shown_tuples_read_as_their_repr():
     for v in ((), (1,), (1, -2), (0.5, 3), ("a", (1,))):
         assert exact._shown(v) == repr(v)
