@@ -45,7 +45,8 @@ Selberg cross-check
 The n-dimensional Selberg integral with positive-integer parameters is a
 ratio of factorials; at gamma = 1 it matches n! * det H, and for n <= 2
 it is also computed by direct Gauss-Legendre quadrature, tying the exact
-algebra back to actual integrals.
+algebra back to actual integrals.  The quadrature's node powers and pair
+distances are tables per rule, shared by every spec on that rule.
 
 Exact linear algebra
 --------------------
@@ -54,9 +55,10 @@ entries are minors, divisions are exact), one loop shared by every
 determinant here.  Run without row swaps, the k-th Bareiss pivot is the
 k-th leading principal minor (Sylvester's identity), and H_n is the
 leading block of H_max_n, so one elimination per (alpha, beta) gives
-det H for every n up to max_n; its moments (beta-1)!/(x)_beta come from
-:func:`beta_moment`, 2n-1 distinct ones per matrix, each row cleared to
-integers over the lcm of its denominators.  A generalized matrix is
+det H for every n up to max_n.  Its rows are built as integers
+(:func:`hankel_rows`): from the 2n-1 distinct P_k = (alpha+k)_beta, row i
+times L_i = lcm(P_i .. P_{i+n-1}) is (beta-1)! L_i / P_{i+j}, and the k-th
+pivot over L_0 ... L_{k-1} is det H_k.  A generalized matrix is
 built already cleared: row x times (x+2)_{beta+n-1}/(beta-1)! is the
 lemma row at X = x, B_t = t, A_t = t+beta, with integer entries
 (x+2)_{j-1} (x+j+beta+1)_{n-j}, so :func:`lemma_rows`, the one builder
@@ -72,9 +74,10 @@ scalings (:func:`specialized_lemma_sides`).  The consecutive-index rows
 x = 0..n-1 are that matrix at alpha = 2, entry for entry, so the same
 sweep serves them.  No pivot is zero, because no lemma product is for
 beta >= 1; a zero pivot or a remainder is refused as a fault.
-:func:`fraction_det` (a matrix of ints and Fractions, cleared row by
-row) and a naive Fraction Gaussian elimination are kept as independent
-cross-checks, not as fast paths.
+The per-entry moment matrix (:func:`hankel_matrix`, from
+:func:`beta_moment`), :func:`fraction_det` (a matrix of ints and
+Fractions, cleared row by row) and a naive Fraction Gaussian elimination
+are kept as independent cross-checks, not as fast paths.
 """
 
 from __future__ import annotations
@@ -317,14 +320,29 @@ def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
     return [moments[i : i + n] for i in range(n)]
 
 
+def hankel_rows(spec: HankelSpec) -> tuple[list[list[int]], list[int]]:
+    """The moment matrix cleared to integers, with no Fraction: (rows, row scales).
+
+    With P_k = (alpha+k)_beta for k < 2n-1, each computed once, row i
+    (0-based) times L_i = lcm(P_i .. P_{i+n-1}) has the integer entries
+    (beta-1)! * (L_i // P_{i+j}), so its k-th leading minor is det H_k
+    times L_0 ... L_{k-1}.
+    """
+    n, fact = spec.n, math.factorial(spec.beta - 1)
+    polys = [pochhammer(spec.alpha + k, spec.beta) for k in range(2 * n - 1)]
+    scales = [math.lcm(*polys[i : i + n]) for i in range(n)]
+    return [[fact * (s // p) for p in polys[i : i + n]] for i, s in enumerate(scales)], scales
+
+
 def hankel_dets(alpha: int, beta: int, max_n: int) -> list[Fraction]:
     """det H for n = 1..max_n at one (alpha, beta), from one elimination.
 
     H_n is the leading n x n block of H_max_n, and a moment matrix of a
     positive measure is positive definite, so Bareiss runs without row
-    swaps and its k-th pivot over the first k row lcms is det H_k.
+    swaps on the integer rows of :func:`hankel_rows`, and its k-th pivot
+    over the first k row scales is det H_k, reduced once.
     """
-    rows, scales = _clear_rows(hankel_matrix(HankelSpec(alpha, beta, max_n)))
+    rows, scales = hankel_rows(HankelSpec(alpha, beta, max_n))
     dets, den = [], 1
     for pivot, scale in zip(_bareiss_pivots(rows, swap=False), scales):
         if pivot == 0:
@@ -600,18 +618,27 @@ def selberg_rhs_exact(spec: SelbergSpec) -> Fraction:
 
 
 def selberg_rhs(spec: SelbergSpec) -> float:
-    """Float Selberg product: exp of a ``math.fsum`` of lgammas; ~1e-13 relative error."""
+    """Float Selberg product: exp of a ``math.fsum`` of lgammas; ~1e-13 relative error.
+
+    A Gamma argument or a value past the float range is a ``ValueError``.
+    """
     a, b, g, n = spec.alpha, spec.beta, spec.gamma, spec.n
     terms = []
-    for j in range(n):
-        terms += (
-            math.lgamma(a + j * g),
-            math.lgamma(b + j * g),
-            math.lgamma(1 + (j + 1) * g),
-            -math.lgamma(a + b + (n + j - 1) * g),
-            -math.lgamma(1 + g),
-        )
-    return math.exp(math.fsum(terms))
+    try:
+        for j in range(n):
+            terms += (
+                math.lgamma(a + j * g),
+                math.lgamma(b + j * g),
+                math.lgamma(1 + (j + 1) * g),
+                -math.lgamma(a + b + (n + j - 1) * g),
+                -math.lgamma(1 + g),
+            )
+        return math.exp(math.fsum(terms))
+    except OverflowError:
+        raise ValueError(
+            "selberg_rhs is past the float range at (alpha, beta, gamma, n) = "
+            + _shown((a, b, g, n))
+        ) from None
 
 
 def selberg_vs_det(spec: HankelSpec) -> tuple[Fraction, Fraction]:
@@ -637,26 +664,55 @@ def _unit_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     return (t + 1.0) / 2.0, w / 2.0
 
 
+def _frozen(v: np.ndarray) -> np.ndarray:
+    """``v``, made read-only: a cached table is shared by every caller."""
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _node_powers(k: int, e: float, reflect: bool) -> np.ndarray:
+    """x^e, or (1-x)^e with ``reflect``, at the nodes x of the k-node rule."""
+    x = _unit_legendre(k)[0]
+    return _frozen((1.0 - x if reflect else x) ** e)
+
+
+@functools.lru_cache(maxsize=8)
+def _node_distances(k: int, g: int) -> np.ndarray:
+    """|x_i - x_j|^(2g) over every pair of nodes of the k-node rule."""
+    x = _unit_legendre(k)[0]
+    return _frozen(np.abs(x[:, None] - x[None, :]) ** (2 * g))
+
+
+_QUAD_MAX = 1 << 9  # largest alpha, beta or gamma (n = 2) of a rule: at most 1025 nodes
+
+
 def quadrature_oracle(spec: SelbergSpec) -> float:
     """Direct numerical evaluation of the Selberg integral for n <= 2.
 
     The integrand x^(a-1)(1-x)^(b-1) [* same in y * |x-y|^(2g)] is a
     polynomial of total degree a+b-2+2g(n-1) per axis, so Gauss-Legendre
     with enough nodes is exact up to rounding; node count is chosen from
-    the degree with margin.  Deliberately independent of all the exact
-    machinery — this is the end-to-end sanity anchor.
+    the degree with margin.  The node powers and the pair distances are
+    tables per rule (per (k, e) and (k, g)), so specs that share a rule
+    share them; each value is the same float the per-spec expression
+    gives.  alpha, beta, or gamma at n = 2, past 2^9 is a ``ValueError``,
+    raised before any rule is built.  Deliberately independent of all the
+    exact machinery — this is the end-to-end sanity anchor.
     """
     a, b, g, n = spec.alpha, spec.beta, spec.gamma, spec.n
     if n > 2:
         raise ValueError(f"quadrature oracle only supports n <= 2, got n={n}")
     if min(a, b) < 1:
         raise ValueError(f"quadrature oracle needs alpha, beta >= 1, got {(a, b)}")
+    for name, v in (("alpha", a), ("beta", b), ("gamma", g if n == 2 else 1)):
+        if v > _QUAD_MAX:
+            raise ValueError(f"quadrature oracle needs {name} <= {_QUAD_MAX}, got {_shown(v)}")
     degree = a + b - 2 + 2 * g * (n - 1)
     k = max(24, int(math.ceil(degree / 2)) + 2)
-    x, w = _unit_legendre(k)
-    fx = x ** (a - 1) * (1.0 - x) ** (b - 1)
+    w = _unit_legendre(k)[1]
+    fx = _node_powers(k, a - 1, False) * _node_powers(k, b - 1, True)
     if n == 1:
         return float(np.dot(w, fx))
-    diff = np.abs(x[:, None] - x[None, :]) ** (2 * g)
-    vals = (fx * w)[:, None] * (fx * w)[None, :] * diff
+    vals = (fx * w)[:, None] * (fx * w)[None, :] * _node_distances(k, g)
     return float(vals.sum())

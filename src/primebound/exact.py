@@ -142,8 +142,11 @@ def _grow_log_table(k: int) -> None:
     ``start`` needs ln j! for start-1 <= j < stop-1: one scan of the
     ``math.log(j)`` terms gives those, a second scan sums them, and the ln j!
     block is dropped.  Each ln j and each ln j! is 0 or at least ln 2, so
-    all are multiples of 2^-53 and the limb scan sums them exactly.
+    all are multiples of 2^-53 and the limb scan sums them exactly.  A k
+    past _LOG_SEAM is a ``ValueError``: the table stops there.
     """
+    if k > _LOG_SEAM:
+        raise ValueError(f"the ln G table stops at k = {_LOG_SEAM}, got {_shown(k)}")
     while len(_LSF) <= k:
         start = len(_LSF)
         stop = min(start + _LOG_BLOCK, _LOG_SEAM + 1)
@@ -223,9 +226,12 @@ def factorial_ratio(top: Iterable[int], bottom: Iterable[int]) -> Fraction:
 
 
 def pochhammer(x: int, k: int) -> int:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), exactly; (x)_0 = 1."""
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), exactly; (x)_0 = 1.
+
+    That is (x+k-1)! / (x-1)!, the falling product ``math.perm`` takes in C.
+    """
     if x < 1:
         raise ValueError(f"pochhammer requires x >= 1, got {_shown(x)}")
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got {_shown(k)}")
-    return math.prod(range(x, x + k))
+    return math.perm(x + k - 1, k)

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,28 @@ def test_hankel_dets_match_cofactor_oracle_small():
                 assert dets[n - 1] == _cofactor_det(m)
 
 
+def test_hankel_dets_equal_fraction_det_of_every_leading_matrix():
+    # The integer rows of hankel_rows against the per-entry Fraction
+    # matrix, cleared and eliminated by fraction_det, at every leading n.
+    for alpha in range(1, 9):
+        for beta in range(1, 9):
+            want = [
+                det.fraction_det(det.hankel_matrix(det.HankelSpec(alpha, beta, n)))
+                for n in range(1, 11)
+            ]
+            for big_n in range(1, 11):
+                assert det.hankel_dets(alpha, beta, big_n) == want[:big_n], (alpha, beta, big_n)
+
+
+def test_hankel_rows_are_the_moment_rows_times_their_scales():
+    for alpha, beta, n in ((1, 1, 1), (1, 3, 4), (4, 2, 5), (7, 6, 3)):
+        spec = det.HankelSpec(alpha, beta, n)
+        rows, scales = det.hankel_rows(spec)
+        for row, scale, moments in zip(rows, scales, det.hankel_matrix(spec)):
+            assert all(type(v) is int for v in row)
+            assert row == [m * scale for m in moments]
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -292,13 +315,14 @@ def test_hankel_dets_match_cofactor_oracle_small():
         [[1, 1, 2], [1, 1, 3], [2, 5, 1]],
         # Zero first pivot; a row swap would give det -1.
         [[0, 1], [1, 0]],
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+        # [[1/2, 1/3], [3/2, 1]] cleared row by row, over 6 and 2.
+        [[3, 2], [3, 2]],
     ],
 )
 def test_hankel_dets_refuse_a_zero_leading_minor(monkeypatch, rows):
     # Without row swaps the pivots are only minors while none is zero, so
     # a singular leading block must raise, not return a wrong minor.
-    monkeypatch.setattr(det, "hankel_matrix", lambda spec: [r[:] for r in rows])
+    monkeypatch.setattr(det, "hankel_rows", lambda spec: ([r[:] for r in rows], [1] * len(rows)))
     with pytest.raises(RuntimeError, match="zero leading minor"):
         det.hankel_dets(1, 1, len(rows))
     with pytest.raises(RuntimeError, match="zero leading minor"):
@@ -762,6 +786,84 @@ def test_quadrature_oracle_real_parameters_sanity():
     # Non-polynomial integrand: only a loose agreement is promised.
     spec = det.SelbergSpec(1.5, 2.5, 1, 2)
     assert abs(det.quadrature_oracle(spec) - det.selberg_rhs(spec)) <= 1e-5
+
+
+def _quadrature_formula(spec):
+    """The quadrature as one per-spec expression, from a fresh rule."""
+    a, b, g, n = spec.alpha, spec.beta, spec.gamma, spec.n
+    k = max(24, int(math.ceil((a + b - 2 + 2 * g * (n - 1)) / 2)) + 2)
+    t, w = np.polynomial.legendre.leggauss(k)
+    x, w = (t + 1.0) / 2.0, w / 2.0
+    fx = x ** (a - 1) * (1.0 - x) ** (b - 1)
+    if n == 1:
+        return float(np.dot(w, fx))
+    diff = np.abs(x[:, None] - x[None, :]) ** (2 * g)
+    return float(((fx * w)[:, None] * (fx * w)[None, :] * diff).sum())
+
+
+def test_quadrature_oracle_is_the_per_spec_formula_bit_for_bit():
+    # The per-rule tables give the same floats as the per-spec expression,
+    # cold and warm, including a real (alpha, beta) and a rule above 24 nodes.
+    specs = [
+        det.SelbergSpec(alpha, beta, gamma, n)
+        for n in (1, 2)
+        for gamma in (1, 2, 3)
+        for alpha in range(1, 7)
+        for beta in range(1, 7)
+    ] + [det.SelbergSpec(1.5, 2.5, 2, 2), det.SelbergSpec(40, 30, 3, 2)]
+    det._node_powers.cache_clear()
+    det._node_distances.cache_clear()
+    for _ in range(2):
+        for spec in specs:
+            want = _quadrature_formula(spec)
+            assert det.quadrature_oracle(spec).hex() == want.hex(), spec
+
+
+def _no_rule(k):
+    raise AssertionError(f"a {k}-node rule was built")
+
+
+@pytest.mark.parametrize(
+    "args, name, shown",
+    [
+        ((1e308, 1.0, 1, 1), "alpha", "1e+308"),
+        ((1.0, 1e306, 3, 2), "beta", "1e+306"),
+        ((1.0, 1.0, 10**40, 2), "gamma", "an integer of 41 digits"),
+        ((1.0, 513, 1, 1), "beta", "513"),
+    ],
+)
+def test_quadrature_oracle_refuses_a_huge_rule_before_building_it(monkeypatch, args, name, shown):
+    # Let through, the node count overflowed an index ("cannot fit 'int'
+    # into an index-sized integer") or asked for a rule past any memory.
+    monkeypatch.setattr(det, "_unit_legendre", _no_rule)
+    with pytest.raises(ValueError) as info:
+        det.quadrature_oracle(det.SelbergSpec(*args))
+    assert str(info.value) == f"quadrature oracle needs {name} <= 512, got {shown}"
+
+
+def test_quadrature_oracle_reads_gamma_only_at_n_two():
+    # At n = 1 the integrand has no |x - y| factor, so gamma sets no rule.
+    spec = det.SelbergSpec(2, 3, 10**40, 1)
+    assert det.quadrature_oracle(spec) == _quadrature_formula(det.SelbergSpec(2, 3, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "args, shown",
+    [
+        ((1e308, 1.0, 1, 1), "(1e+308, 1.0, 1, 1)"),
+        ((1.0, 1e306, 3, 2), "(1.0, 1e+306, 3, 2)"),
+        ((1e-300, 1e-300, 1, 2), "(1e-300, 1e-300, 1, 2)"),
+    ],
+    ids=["lgamma_alpha", "lgamma_beta", "value"],
+)
+def test_selberg_rhs_refuses_a_float_overflow(args, shown):
+    # lgamma of a huge argument, or exp of a value past the float range,
+    # raised OverflowError "math range error".
+    with pytest.raises(ValueError) as info:
+        det.selberg_rhs(det.SelbergSpec(*args))
+    assert str(info.value) == (
+        f"selberg_rhs is past the float range at (alpha, beta, gamma, n) = {shown}"
+    )
 
 
 def test_quadrature_oracle_validation():

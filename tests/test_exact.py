@@ -49,6 +49,13 @@ def test_pochhammer_factorial_identity_strided_to_one_thousand():
             assert exact.pochhammer(x, k) * fxm1 == math.factorial(x + k - 1)
 
 
+def test_pochhammer_is_the_product_of_its_factors():
+    # math.perm(x + k - 1, k) against the product it stands for.
+    for x in range(1, 61):
+        for k in range(61):
+            assert exact.pochhammer(x, k) == math.prod(range(x, x + k)), (x, k)
+
+
 def test_pochhammer_validation():
     with pytest.raises(ValueError):
         exact.pochhammer(0, 3)
@@ -139,6 +146,7 @@ _HUGE_REFUSALS = {
     "lcm_upto_prime_powers": lambda t: primes.lcm_upto_prime_powers(-_BIG),
     "pochhammer_x": lambda t: exact.pochhammer(-_BIG, 1),
     "pochhammer_k": lambda t: exact.pochhammer(1, -_BIG),
+    "_grow_log_table": lambda t: exact._grow_log_table(_BIG),
     "HankelSpec": lambda t: det.HankelSpec(1, -_BIG, 1),
     "GeneralizedSpec_xs": lambda t: det.GeneralizedSpec((0, -_BIG), 1),
     "GeneralizedSpec_beta": lambda t: det.GeneralizedSpec((0,), -_BIG),
@@ -200,6 +208,19 @@ def test_log_superfactorial_above_seam_never_grows_table(monkeypatch):
     for k in (seam + 1, 10**7, 10**12):
         assert math.isfinite(exact.log_superfactorial(k))
     assert len(exact._LSF) == lsf <= seam + 1
+
+
+def test_grow_log_table_refuses_a_k_past_the_seam(monkeypatch):
+    # The table stops at the seam, so growing it further found no block to
+    # add and never returned; such a k is refused before any growth.
+    seam = exact._LOG_SEAM
+    monkeypatch.setattr(exact, "_exact_prefix_sum", _no_growth)
+    lsf = len(exact._LSF)
+    for k in (seam + 1, seam + exact._LOG_BLOCK, 10**12):
+        with pytest.raises(ValueError) as info:
+            exact._grow_log_table(k)
+        assert str(info.value) == f"the ln G table stops at k = {seam}, got {k}"
+    assert len(exact._LSF) == lsf
 
 
 @pytest.mark.parametrize("e", [160, 400])
