@@ -41,17 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 from typing import NamedTuple
 
 from . import exact
-from .determinants import HankelSpec, closed_form_det
 from .exact import _shown, log_superfactorial
 from .primes import PrimeTable, _check_range, _psi1_at
-
-_EXACT_N_CAP = 200
 
 
 @dataclass(frozen=True, init=False)
@@ -86,22 +80,6 @@ class BoundParams:
         object.__setattr__(self, "a", a)
 
 
-def delta_exact(params: BoundParams) -> Fraction:
-    """Delta_n(s) as an exact rational: det H at alpha = beta = a, by construction.
-
-    It is :func:`~primebound.determinants.closed_form_det` of
-    ``HankelSpec(a, a, n)``.  Factorials grow fast; n is capped so a single
-    call cannot consume unbounded memory (the cap is far above anything the
-    asymptotic tests need — use :func:`log_delta` beyond it).
-    """
-    if params.n > _EXACT_N_CAP:
-        raise ValueError(
-            f"delta_exact supports n <= {_EXACT_N_CAP}, got {params.n}; "
-            "use log_delta for large n"
-        )
-    return closed_form_det(HankelSpec(params.a, params.a, params.n))
-
-
 def log_delta(params: BoundParams) -> float:
     """ln Delta_n(s) in floats, from four differences of log-superfactorials.
 
@@ -116,8 +94,9 @@ def log_delta(params: BoundParams) -> float:
     from one ``log_superfactorial`` call, as the series answers there.  Both
     give the same floats, summed in the same order.
 
-    The differences cancel, yet the worst relative error
-    measured was 2.1e-15 against ln(delta_exact) for every n <= 200 at s in
+    The differences cancel, yet the worst relative error measured was
+    2.1e-15 against the ln of the exact Delta_n(s) (``delta_exact`` in
+    ``tests/witnesses.py``) for every n <= 200 at s in
     {0.05, 0.15, s*, 0.8, 1}, 4.2e-15 against an fsum of math.lgamma terms up
     to n = 2e4, and 1.4e-14 against mpmath's Barnes G up to n = 1e12.  The
     cancellation grows like ln n: at every accepted n (to 2.5e152 at s = 1,
@@ -171,19 +150,6 @@ def chain_constant(s: float) -> AsymptoticCoeff:
     f = f_coeff(s)
     rho = (2.0 * s + 1.0) / (2.0 * s + 2.0)
     return AsymptoticCoeff(s=s, f=f, g=-f, rho=rho, c=-f / (4.0 * s + 3.0))
-
-
-def chain_partial_sum(s: float, k_max: int) -> float:
-    """sum_{k=0}^{k_max} g rho^{2k} / (4 (s+1)^2): the telescoped windows.
-
-    Converges geometrically to chain_constant(s).c; with k_max = 40 the
-    tail is below 1e-11 throughout [0.1, 0.9].
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {_shown(k_max)}")
-    co = chain_constant(s)
-    first = co.g / (4.0 * (s + 1.0) ** 2)
-    return math.fsum(accumulate(repeat(co.rho * co.rho, k_max), mul, initial=first))
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,10 @@ scalings (:func:`specialized_lemma_sides`).  The consecutive-index rows
 x = 0..n-1 are that matrix at alpha = 2, entry for entry, so the same
 sweep serves them.  No pivot is zero, because no lemma product is for
 beta >= 1; a zero pivot or a remainder is refused as a fault.
-The per-entry moment matrix (:func:`hankel_matrix`, from
-:func:`beta_moment`), :func:`fraction_det` (a matrix of ints and
-Fractions, cleared row by row) and a naive Fraction Gaussian elimination
-are kept as independent cross-checks, not as fast paths.
+The second routes the tests compare these against (the moment matrix
+entry by entry from factorials, a naive Fraction Gaussian elimination,
+the row scaling det M / det H as a factorial product) live outside the
+package, in ``tests/witnesses.py``, and share no code with it.
 """
 
 from __future__ import annotations
@@ -227,17 +227,6 @@ def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
         prev = pivot
 
 
-def _clear_rows(rows: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators: (integer rows, the lcms).
-
-    Entries are read through ``numerator`` and ``denominator``, which ints
-    have too, so no entry is converted.
-    """
-    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    cleared = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
-    return cleared, scales
-
-
 def bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix, fraction-free.
 
@@ -250,47 +239,6 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return [*_bareiss_pivots([*map(list, rows)], swap=True)][-1]
 
 
-def fraction_det(rows: list[list[Fraction | int]]) -> Fraction:
-    """Exact determinant of a matrix of ints and Fractions, in any mix.
-
-    Each row is cleared to integers over the lcm of its denominators
-    (:func:`_clear_rows`) and the integer matrix goes to
-    :func:`bareiss_det`.
-    """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("fraction_det requires a nonempty square matrix")
-    cleared, scales = _clear_rows(rows)
-    return Fraction(bareiss_det(cleared), math.prod(scales))
-
-
-def fraction_det_naive(rows: list[list[Fraction]]) -> Fraction:
-    """Plain Gaussian elimination over Fraction with partial pivoting.
-
-    Slower and structurally unrelated to :func:`fraction_det`; exists as
-    an independent witness that the fast path eliminates correctly.
-    """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("fraction_det_naive requires a nonempty square matrix")
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for r in range(k + 1, n):
-            if m[r][k]:
-                factor = m[r][k] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
-    return det
-
-
 # ----------------------------------------------------------------------
 # Hankel beta-moment matrices
 # ----------------------------------------------------------------------
@@ -299,25 +247,6 @@ def fraction_det_naive(rows: list[list[Fraction]]) -> Fraction:
 def beta_moment(x: int, beta: int) -> Fraction:
     """(beta-1)! / (x)_beta = B(x, beta), the moment behind every entry here."""
     return Fraction(math.factorial(beta - 1), pochhammer(x, beta))
-
-
-def hankel_entry(spec: HankelSpec, i: int, j: int) -> Fraction:
-    """Entry (beta-1)! / (alpha+i+j-2)_beta at position (i, j), 1-based."""
-    if not (1 <= i <= spec.n and 1 <= j <= spec.n):
-        raise ValueError(f"entry index {_shown((i, j))} outside 1..{spec.n}")
-    return beta_moment(spec.alpha + i + j - 2, spec.beta)
-
-
-def hankel_matrix(spec: HankelSpec) -> list[list[Fraction]]:
-    """The n x n moment matrix, built from its 2n-1 distinct entries.
-
-    Entry (i, j) depends on i+j only, so with the moments
-    m_k = (beta-1)! / (alpha+k)_beta, k < 2n-1, row i (0-based) is
-    m_i .. m_{i+n-1}.  :func:`hankel_entry` is the per-entry definition.
-    """
-    n = spec.n
-    moments = [beta_moment(spec.alpha + k, spec.beta) for k in range(2 * n - 1)]
-    return [moments[i : i + n] for i in range(n)]
 
 
 def hankel_rows(spec: HankelSpec) -> tuple[list[list[int]], list[int]]:
@@ -446,25 +375,12 @@ def specialize_to_hankel(spec: HankelSpec) -> KrattenthalerInstance:
     )
 
 
-def specialization_scale(spec: HankelSpec) -> Fraction:
-    """det(specialised lemma matrix) / det(Hankel matrix), as an exact ratio.
-
-    Row i of the Hankel matrix times (alpha+i-1)_{beta+n-1} / (beta-1)!
-    is row i of the specialised polynomial matrix, hence the factor; with
-    (x)_k = (x+k-1)! / (x-1)! it is one factorial ratio.
-    """
-    a, b, n = spec.alpha, spec.beta, spec.n
-    return factorial_ratio(
-        range(a + b + n - 2, a + b + 2 * n - 2), [*range(a - 1, a + n - 1), *[b - 1] * n]
-    )
-
-
 def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int, int, int, int]]:
     """For n = 1..max_n: (det M_n, the lemma product, prod_i (alpha+i-1)_{beta+n-1}, (beta-1)!^n).
 
     M_n is the lemma matrix specialised as in :func:`specialize_to_hankel`;
-    the last two values are the numerator and denominator of
-    :func:`specialization_scale`.  Growing M_n to M_{n+1} multiplies every
+    the last two values are the numerator and denominator of the row
+    scaling det M_n / det H_n of the module docstring.  Growing M_n to M_{n+1} multiplies every
     entry of row i by X_i + A_{n+1}, so the leading n x n block of
     M_max_n is M_n with row i times (i+alpha+beta+n-2)_{max_n-n}, and one
     elimination without row swaps gives every det M_n: its n-th pivot is
@@ -639,22 +555,6 @@ def selberg_rhs(spec: SelbergSpec) -> float:
             "selberg_rhs is past the float range at (alpha, beta, gamma, n) = "
             + _shown((a, b, g, n))
         ) from None
-
-
-def selberg_vs_det(spec: HankelSpec) -> tuple[Fraction, Fraction]:
-    """(n! * det H, Selberg product at gamma = 1) — equal for all valid specs.
-
-    At gamma = 1 the symmetrised Selberg integrand is the squared
-    Vandermonde beta-moment, which is n! times the Hankel determinant.
-    det H comes from :func:`hankel_det`, one elimination of this spec; a
-    sweep over n takes every det H of one (alpha, beta) from a single
-    :func:`hankel_dets` call instead, as the selberg suite does.
-    """
-    lhs = math.factorial(spec.n) * hankel_det(spec)
-    rhs = selberg_rhs_exact(
-        SelbergSpec(alpha=spec.alpha, beta=spec.beta, gamma=1, n=spec.n)
-    )
-    return lhs, rhs
 
 
 @functools.cache

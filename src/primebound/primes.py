@@ -35,14 +35,13 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
   time.  :func:`psi`, :func:`psi1` and :func:`mangoldt` read the runs and
   build none of them.
 
-lcm(1..m) comes in two independent implementations (a pairwise-lcm fold
-and a prime-power product) specifically so they can be played against
-each other and against psi: ln lcm(1..m) = psi(m).
+lcm(1..m) is a pairwise-lcm fold on from a cache (:func:`lcm_upto`).  The
+tests play it against a prime-power product, ``lcm_upto_prime_powers`` in
+``tests/witnesses.py``, and against psi: ln lcm(1..m) = psi(m).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -318,7 +317,7 @@ def psi1_increment(table: PrimeTable, m: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# lcm(1..m), two ways
+# lcm(1..m)
 # ----------------------------------------------------------------------
 
 def lcm_upto(m: int) -> int:
@@ -334,25 +333,3 @@ def lcm_upto(m: int) -> int:
             _LCM.append(v)
     return v
 
-
-def lcm_upto_prime_powers(m: int) -> int:
-    """d_m as the product over primes p <= m of the largest p^k <= m.
-
-    Independent of :func:`lcm_upto` (no shared code path, no cache); used
-    as its cross-checking oracle.  Primes above sqrt(m) enter only to the
-    first power.
-    """
-    if m < 1:
-        raise ValueError(f"lcm_upto_prime_powers requires m >= 1, got {_shown(m)}")
-    r = math.isqrt(m)
-    is_prime = bytearray([0, 0]) + bytearray([1]) * (m - 1)
-    for p in range(2, r + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
-    result = math.prod(itertools.compress(range(r + 1, m + 1), is_prime[r + 1 :]))
-    for p in itertools.compress(range(r + 1), is_prime[: r + 1]):
-        pw = p
-        while pw * p <= m:
-            pw *= p
-        result *= pw
-    return result

@@ -167,8 +167,9 @@ def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[C
     """Selberg product vs Hankel determinants and vs direct quadrature.
 
     ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab), built here
-    when not given; n! det H from it is compared as in
-    :func:`~primebound.determinants.selberg_vs_det`.
+    when not given; n! det H from it is compared with the Selberg product
+    at gamma = 1, where the symmetrised integrand is the squared
+    Vandermonde beta-moment, n! times the Hankel determinant.
     """
     if min(max_n, max_ab) < 1:
         raise ValueError("max_n and max_ab must be >= 1")

@@ -15,6 +15,7 @@ import random
 import time
 from fractions import Fraction
 
+import witnesses
 from primebound import bounds, cli, determinants as det, primes, report
 
 S_TARGET = 0.39191162
@@ -190,7 +191,8 @@ def test_07_selberg_cross_checks():
     for n in range(1, 11):
         for a in range(1, 9):
             for b in range(1, 9):
-                lhs, rhs = det.selberg_vs_det(det.HankelSpec(alpha=a, beta=b, n=n))
+                lhs = math.factorial(n) * det.hankel_det(det.HankelSpec(alpha=a, beta=b, n=n))
+                rhs = det.selberg_rhs_exact(det.SelbergSpec(alpha=a, beta=b, gamma=1, n=n))
                 if lhs != rhs:
                     exact_bad += 1
     worst_rel = 0.0
@@ -275,7 +277,7 @@ def test_10_prime_toolkit():
     # incrementally (one math.lcm step per m, the same operation lcm_upto
     # folds over the full range) against a prime-power product grown here
     # from its own sieve: d_m = d_{m-1} p when m is a power of the prime p.
-    # primes.lcm_upto_prime_powers is checked against that product at every
+    # witnesses.lcm_upto_prime_powers is checked against that product at every
     # m <= 100 and at the anchors; lcm_upto itself at every cached index and
     # at the anchors beyond the cache, where a per-m call would cost
     # quadratic time.
@@ -304,7 +306,7 @@ def test_10_prime_toolkit():
             psi_bad += 1
         if (m <= 2048 or m in anchors) and primes.lcm_upto(m) != fold:
             anchor_bad += 1
-        if (m <= 100 or m in anchors) and primes.lcm_upto_prime_powers(m) != product:
+        if (m <= 100 or m in anchors) and witnesses.lcm_upto_prime_powers(m) != product:
             anchor_bad += 1
     dt = time.perf_counter() - t0
     ok = build_dt < 5.0 and route_bad == 0 and psi_bad == 0 and anchor_bad == 0

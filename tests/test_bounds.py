@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import witnesses
 from primebound import bounds, exact, primes
 from primebound import determinants as det
 
@@ -86,9 +87,9 @@ def test_bound_params_contract():
 
 
 def test_delta_exact_fixtures():
-    assert bounds.delta_exact(bounds.BoundParams(s=0.9, n=2)) == Fraction(1, 12)
-    assert bounds.delta_exact(bounds.BoundParams(s=1.0, n=2)) == Fraction(1, 720)
-    assert bounds.delta_exact(bounds.BoundParams(s=0.4, n=3)) == Fraction(1, 2160)
+    assert witnesses.delta_exact(bounds.BoundParams(s=0.9, n=2)) == Fraction(1, 12)
+    assert witnesses.delta_exact(bounds.BoundParams(s=1.0, n=2)) == Fraction(1, 720)
+    assert witnesses.delta_exact(bounds.BoundParams(s=0.4, n=3)) == Fraction(1, 2160)
 
 
 def _delta_per_j(a: int, n: int) -> Fraction:
@@ -103,14 +104,16 @@ def _delta_per_j(a: int, n: int) -> Fraction:
 
 
 def test_delta_exact_matches_closed_form_determinant():
-    # Two routes independent of closed_form_det: the per-j product, and
-    # exact elimination of the Hankel matrix at alpha = beta = a for n <= 8.
+    # The witness's factorial trees against closed_form_det (a factorial
+    # ratio), the per-j product, and exact elimination of the Hankel matrix
+    # at alpha = beta = a for n <= 8.
     for s in (0.3, S_TARGET, 0.5, 1.0):
         for n in range(1, 26):
             if math.floor(s * n) < 1:
                 continue
             p = bounds.BoundParams(s=s, n=n)
-            got = bounds.delta_exact(p)
+            got = witnesses.delta_exact(p)
+            assert got == det.closed_form_det(det.HankelSpec(alpha=p.a, beta=p.a, n=n)), (s, n)
             assert got == _delta_per_j(p.a, n), (s, n)
             if n <= 8:
                 assert got == det.hankel_det(det.HankelSpec(alpha=p.a, beta=p.a, n=n)), (s, n)
@@ -118,7 +121,7 @@ def test_delta_exact_matches_closed_form_determinant():
 
 def test_delta_exact_resource_cap():
     with pytest.raises(ValueError):
-        bounds.delta_exact(bounds.BoundParams(s=1.0, n=201))
+        witnesses.delta_exact(bounds.BoundParams(s=1.0, n=201))
 
 
 def test_log_delta_fixtures():
@@ -140,7 +143,7 @@ def test_log_delta_tracks_exact_value_to_n_sixty():
             if math.floor(s * n) < 1:
                 continue
             p = bounds.BoundParams(s=s, n=n)
-            oracle = _log_fraction(bounds.delta_exact(p))
+            oracle = _log_fraction(witnesses.delta_exact(p))
             got = bounds.log_delta(p)
             assert abs(got - oracle) <= 1e-9 * abs(oracle)
 
@@ -247,7 +250,7 @@ def test_delta_ledger_equals_exact_value():
         if math.floor(s * n) < 1:
             continue
         p = bounds.BoundParams(s=s, n=n)
-        assert _ledger_fraction(_delta_ledger(p)) == bounds.delta_exact(p), (s, n)
+        assert _ledger_fraction(_delta_ledger(p)) == witnesses.delta_exact(p), (s, n)
 
 
 def test_log_delta_matches_exact_value_to_n_two_hundred():
@@ -259,7 +262,7 @@ def test_log_delta_matches_exact_value_to_n_two_hundred():
                 continue
             p = bounds.BoundParams(s=s, n=n)
             if n <= 60:
-                oracle = _log_fraction(bounds.delta_exact(p))
+                oracle = _log_fraction(witnesses.delta_exact(p))
             else:
                 oracle = math.fsum(v * math.log(q) for q, v in _delta_ledger(p).items())
             assert abs(bounds.log_delta(p) - oracle) <= 1e-13 * abs(oracle), (s, n)
@@ -363,14 +366,16 @@ def test_chain_constant_closed_form_at_half():
 
 
 def test_chain_partial_sum_converges():
+    # The witness sums the windows from g = -f(s) alone; the limit is chain_constant's c.
     s = 0.1
     while s <= 0.9 + 1e-12:
         c = bounds.chain_constant(s).c
-        assert abs(bounds.chain_partial_sum(s, 40) - c) <= 1e-9 * c
+        g = -bounds.f_coeff(s)
+        assert abs(witnesses.chain_partial_sum(s, g, 40) - c) <= 1e-9 * c
         # Partial sums increase toward the limit.
         prev = -1.0
         for k in (0, 1, 2, 5, 10):
-            cur = bounds.chain_partial_sum(s, k)
+            cur = witnesses.chain_partial_sum(s, g, k)
             assert cur > prev
             prev = cur
         assert prev < c
@@ -381,7 +386,7 @@ def test_chain_partial_sum_first_term():
     for s in (0.2, 0.5, 0.8):
         coeff = bounds.chain_constant(s)
         first = coeff.g / (4.0 * (s + 1.0) ** 2)
-        assert math.isclose(bounds.chain_partial_sum(s, 0), first, rel_tol=1e-15)
+        assert math.isclose(witnesses.chain_partial_sum(s, -bounds.f_coeff(s), 0), first, rel_tol=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Every identity is verified against an independent route: cofactor
 expansion for small determinants, naive rational elimination against the
-fraction-free path, direct beta-integral factorials for matrix entries,
-and seeded random instances for the polynomial determinant lemma.
+fraction-free path, direct beta-integral factorials for matrix entries
+(both from ``witnesses``), and seeded random instances for the polynomial
+determinant lemma.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import witnesses
 from primebound import determinants as det
 from primebound.exact import factorial_ratio, pochhammer
 from primebound.primes import lcm_upto
@@ -109,7 +111,7 @@ def test_bareiss_handles_zero_pivots():
     assert det.bareiss_det([[1, 2], [2, 4]]) == 0
 
 
-def test_fraction_det_routes_agree_on_random_matrices():
+def test_naive_elimination_matches_cofactor_on_random_fraction_matrices():
     rng = random.Random(99)
     for n in range(1, 7):
         for _ in range(10):
@@ -117,21 +119,7 @@ def test_fraction_det_routes_agree_on_random_matrices():
                 [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
                 for _ in range(n)
             ]
-            got = det.fraction_det([r[:] for r in rows])
-            want = det.fraction_det_naive([r[:] for r in rows])
-            assert got == want
-            if n <= 4:
-                assert got == _cofactor_det(rows)
-
-
-def test_fraction_det_routes_agree_on_moment_matrices():
-    for n in range(1, 9):
-        for alpha in range(1, 7):
-            for beta in range(1, 7):
-                m = det.hankel_matrix(det.HankelSpec(alpha=alpha, beta=beta, n=n))
-                assert det.fraction_det([r[:] for r in m]) == det.fraction_det_naive(
-                    [r[:] for r in m]
-                )
+            assert witnesses.fraction_det_naive(rows) == _cofactor_det(rows)
 
 
 # Property tests: seeds pinned, so every run draws the same examples.
@@ -170,7 +158,7 @@ _FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 def test_bareiss_matches_naive_elimination(case, data):
     kind, rows = case
     got = det.bareiss_det([r[:] for r in rows])
-    assert got == det.fraction_det_naive(rows)
+    assert got == witnesses.fraction_det_naive(rows)
     if kind != "free":
         assert got == 0
     n = len(rows)
@@ -181,23 +169,34 @@ def test_bareiss_matches_naive_elimination(case, data):
 
 
 @_PROPERTY
-@given(
-    st.sampled_from(["fraction", "int", "mixed"]).flatmap(
-        lambda kind: _square(
-            {
-                "fraction": _FRACTIONS,
-                "int": st.integers(-40, 40),
-                "mixed": st.one_of(st.integers(-40, 40), _FRACTIONS),
-            }[kind]
-        )
-    )
-)
-def test_fraction_det_matches_naive_elimination(rows):
-    # Entries are read through numerator/denominator, never re-wrapped;
-    # all-int and mixed rows check that ints take the same path.
-    got = det.fraction_det(rows)
+@given(_int_matrices(), st.integers(0, 5), st.data())
+def test_bareiss_swaps_past_zero_leading_pivots(case, k, data):
+    # Row k's first k+1 entries are made a combination of the rows above
+    # (at k = 0, a zero corner), so the leading (k+1) x (k+1) minor is 0
+    # and the elimination meets a zero pivot by step k: the row-swap path.
+    _, rows = case
+    n = len(rows)
+    k = min(k, n - 1)
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    rows[k][: k + 1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(k + 1)]
+    assert witnesses.fraction_det_naive([r[: k + 1] for r in rows[: k + 1]]) == 0
+    assert det.bareiss_det([r[:] for r in rows]) == witnesses.fraction_det_naive(rows)
+
+
+@_PROPERTY
+@given(st.sampled_from(["fraction", "int", "mixed"]), st.data())
+def test_naive_elimination_takes_ints_fractions_and_mixed_rows(kind, data):
+    entries = {
+        "fraction": _FRACTIONS,
+        "int": st.integers(-40, 40),
+        "mixed": st.one_of(st.integers(-40, 40), _FRACTIONS),
+    }[kind]
+    rows = data.draw(_square(entries))
+    got = witnesses.fraction_det_naive(rows)
     assert type(got) is Fraction
-    assert got == det.fraction_det_naive(rows)
+    assert got == _cofactor_det(rows)
+    if kind == "int":
+        assert got == det.bareiss_det(rows)
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +205,9 @@ def test_fraction_det_matches_naive_elimination(rows):
 
 
 def test_hankel_entry_fixtures():
-    assert det.hankel_entry(det.HankelSpec(1, 1, 1), 1, 1) == 1
-    assert det.hankel_entry(det.HankelSpec(1, 1, 2), 1, 2) == Fraction(1, 2)
-    assert det.hankel_entry(det.HankelSpec(1, 2, 1), 1, 1) == Fraction(1, 2)
+    assert witnesses.hankel_entry(det.HankelSpec(1, 1, 1), 1, 1) == 1
+    assert witnesses.hankel_entry(det.HankelSpec(1, 1, 2), 1, 2) == Fraction(1, 2)
+    assert witnesses.hankel_entry(det.HankelSpec(1, 2, 1), 1, 1) == Fraction(1, 2)
 
 
 def test_hankel_entry_is_beta_integral():
@@ -223,7 +222,7 @@ def test_hankel_entry_is_beta_integral():
                     want = Fraction(
                         factorial(p - 1) * factorial(beta - 1), factorial(p + beta - 1)
                     )
-                    assert det.hankel_entry(spec, i, j) == want
+                    assert witnesses.hankel_entry(spec, i, j) == want
 
 
 def test_hankel_matrix_equals_entrywise_definition():
@@ -232,10 +231,10 @@ def test_hankel_matrix_equals_entrywise_definition():
             for beta in range(1, 7):
                 spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
                 want = [
-                    [det.hankel_entry(spec, i, j) for j in range(1, n + 1)]
+                    [witnesses.hankel_entry(spec, i, j) for j in range(1, n + 1)]
                     for i in range(1, n + 1)
                 ]
-                assert det.hankel_matrix(spec) == want
+                assert witnesses.hankel_matrix(spec) == want
 
 
 def test_hankel_det_fixtures():
@@ -261,7 +260,7 @@ def test_hankel_det_matches_cofactor_oracle_small():
         for alpha in (1, 2, 3):
             for beta in (1, 2, 3):
                 spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
-                assert det.hankel_det(spec) == _cofactor_det(det.hankel_matrix(spec))
+                assert det.hankel_det(spec) == _cofactor_det(witnesses.hankel_matrix(spec))
 
 
 def test_hankel_dets_are_every_leading_minor():
@@ -282,17 +281,17 @@ def test_hankel_dets_match_cofactor_oracle_small():
         for beta in range(1, 5):
             dets = det.hankel_dets(alpha, beta, 4)
             for n in range(1, 5):
-                m = det.hankel_matrix(det.HankelSpec(alpha, beta, n))
+                m = witnesses.hankel_matrix(det.HankelSpec(alpha, beta, n))
                 assert dets[n - 1] == _cofactor_det(m)
 
 
-def test_hankel_dets_equal_fraction_det_of_every_leading_matrix():
-    # The integer rows of hankel_rows against the per-entry Fraction
-    # matrix, cleared and eliminated by fraction_det, at every leading n.
+def test_hankel_dets_equal_naive_elimination_of_every_leading_matrix():
+    # The integer rows of hankel_rows and their Bareiss pivots against the
+    # moment matrix from factorials, eliminated over Fraction, at every n.
     for alpha in range(1, 9):
         for beta in range(1, 9):
             want = [
-                det.fraction_det(det.hankel_matrix(det.HankelSpec(alpha, beta, n)))
+                witnesses.fraction_det_naive(witnesses.hankel_matrix(det.HankelSpec(alpha, beta, n)))
                 for n in range(1, 11)
             ]
             for big_n in range(1, 11):
@@ -303,7 +302,7 @@ def test_hankel_rows_are_the_moment_rows_times_their_scales():
     for alpha, beta, n in ((1, 1, 1), (1, 3, 4), (4, 2, 5), (7, 6, 3)):
         spec = det.HankelSpec(alpha, beta, n)
         rows, scales = det.hankel_rows(spec)
-        for row, scale, moments in zip(rows, scales, det.hankel_matrix(spec)):
+        for row, scale, moments in zip(rows, scales, witnesses.hankel_matrix(spec)):
             assert all(type(v) is int for v in row)
             assert row == [m * scale for m in moments]
 
@@ -446,7 +445,7 @@ def test_specialization_reproduces_hankel_determinant():
                 spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
                 lhs, rhs = det.krattenthaler_sides(det.specialize_to_hankel(spec))
                 assert lhs == rhs
-                assert Fraction(lhs) == det.hankel_det(spec) * det.specialization_scale(
+                assert Fraction(lhs) == det.hankel_det(spec) * witnesses.specialization_scale(
                     spec
                 )
 
@@ -462,7 +461,7 @@ def test_specialized_lemma_sweep_equals_the_lemma_at_each_n():
                 spec = det.HankelSpec(alpha=alpha, beta=beta, n=n)
                 assert all(type(v) is int for v in (lhs, rhs, num, den))
                 assert (lhs, rhs) == det.krattenthaler_sides(det.specialize_to_hankel(spec))
-                assert Fraction(num, den) == det.specialization_scale(spec)
+                assert Fraction(num, den) == witnesses.specialization_scale(spec)
             # A smaller sweep is the same prefix: each n's value is the block's.
             for big_n in range(1, 8):
                 assert det.specialized_lemma_sides(alpha, beta, big_n) == sweep[:big_n]
@@ -610,7 +609,7 @@ def _generalized_inequality_oracle(spec):
         for x in xs
     ]
     scale = math.prod(math.lcm(*range(1, x + b + n + 1)) for x in xs)
-    return scale * det.fraction_det_naive(rows)
+    return scale * witnesses.fraction_det_naive(rows)
 
 
 def test_generalized_rhs_is_closed_form_side():
@@ -635,10 +634,10 @@ def test_consecutive_indices_collapse_to_hankel():
 # ----------------------------------------------------------------------
 
 
-def _beta_moment_matrix(spec):
-    """The generalized matrix entry by entry, each a beta_moment Fraction."""
+def _moment_matrix(spec):
+    """The generalized matrix entry by entry, each a witness moment."""
     n = len(spec.xs)
-    return [[det.beta_moment(x + j + 1, spec.beta) for j in range(1, n + 1)] for x in spec.xs]
+    return [[witnesses.moment(x + j + 1, spec.beta) for j in range(1, n + 1)] for x in spec.xs]
 
 
 def _factorial_ratio_rhs(spec):
@@ -667,7 +666,7 @@ def test_generalized_lhs_matches_fraction_elimination():
     assert sum(0 in s.xs for s in specs) >= 50
     assert sum(list(s.xs) != sorted(s.xs) for s in specs) >= 200
     for spec in specs:
-        assert det.generalized_lhs(spec) == det.fraction_det(_beta_moment_matrix(spec)), spec
+        assert det.generalized_lhs(spec) == witnesses.fraction_det_naive(_moment_matrix(spec)), spec
         assert det.generalized_rhs(spec) == _factorial_ratio_rhs(spec), spec
 
 
@@ -676,7 +675,7 @@ def test_generalized_lhs_matches_fraction_elimination():
 def test_generalized_identity_property(xs, beta):
     spec = det.GeneralizedSpec(xs=tuple(xs), beta=beta)
     lhs = det.generalized_lhs(spec)
-    assert lhs == det.fraction_det(_beta_moment_matrix(spec)) == det.generalized_rhs(spec)
+    assert lhs == witnesses.fraction_det_naive(_moment_matrix(spec)) == det.generalized_rhs(spec)
 
 
 def test_generalized_rows_are_scaled_beta_moments():
@@ -687,7 +686,7 @@ def test_generalized_rows_are_scaled_beta_moments():
             assert len(rows) == 31
             for x, row in enumerate(rows):
                 scale = Fraction(pochhammer(x + 2, beta + n - 1), factorial(beta - 1))
-                want = [det.beta_moment(x + j + 1, beta) * scale for j in range(1, n + 1)]
+                want = [witnesses.moment(x + j + 1, beta) * scale for j in range(1, n + 1)]
                 assert all(type(v) is int for v in row)
                 assert row == want, (x, beta, n)
 
@@ -710,7 +709,17 @@ def test_generalized_lhs_is_the_scaled_lemma(xs, beta):
 def test_basic_integrality_is_lcm_times_beta_moment():
     for alpha, beta, i, j in itertools.product(range(1, 9), repeat=4):
         w = det.basic_integrality(alpha, beta, i, j)
-        assert w == lcm_upto(alpha + beta + i + j - 1) * det.beta_moment(alpha + i + j - 2, beta)
+        assert w == lcm_upto(alpha + beta + i + j - 1) * witnesses.moment(alpha + i + j - 2, beta)
+
+
+def test_beta_moment_and_pochhammer_match_the_witness_moments():
+    # (beta-1)!/(x)_beta, as beta_moment and through pochhammer, against
+    # (x-1)!(beta-1)!/(x+beta-1)! from factorials alone.
+    for x in range(1, 41):
+        for beta in range(1, 41):
+            want = witnesses.moment(x, beta)
+            assert det.beta_moment(x, beta) == want, (x, beta)
+            assert Fraction(factorial(beta - 1), pochhammer(x, beta)) == want, (x, beta)
 
 
 @_PROPERTY
@@ -748,17 +757,24 @@ def test_selberg_float_tracks_exact():
                     assert abs(got - want) <= 1e-10 * max(1.0, float(want))
 
 
-def test_selberg_vs_det_fixtures_and_grid():
-    assert det.selberg_vs_det(det.HankelSpec(1, 1, 1)) == (1, 1)
-    pair = det.selberg_vs_det(det.HankelSpec(1, 1, 2))
-    assert pair == (Fraction(1, 6), Fraction(1, 6))
-    lhs, rhs = det.selberg_vs_det(det.HankelSpec(2, 2, 2))
+def _selberg_pair(alpha, beta, n):
+    """(n! det H, the Selberg product at gamma = 1), equal for every valid spec."""
+    return (
+        factorial(n) * det.hankel_det(det.HankelSpec(alpha, beta, n)),
+        det.selberg_rhs_exact(det.SelbergSpec(alpha, beta, 1, n)),
+    )
+
+
+def test_selberg_gamma_one_matches_hankel_fixtures_and_grid():
+    assert _selberg_pair(1, 1, 1) == (1, 1)
+    assert _selberg_pair(1, 1, 2) == (Fraction(1, 6), Fraction(1, 6))
+    lhs, rhs = _selberg_pair(2, 2, 2)
     assert lhs == rhs
     # Moderate grid; acceptance covers n <= 10, alpha, beta <= 8.
     for n in range(1, 7):
         for alpha in range(1, 6):
             for beta in range(1, 6):
-                lhs, rhs = det.selberg_vs_det(det.HankelSpec(alpha, beta, n))
+                lhs, rhs = _selberg_pair(alpha, beta, n)
                 assert lhs == rhs
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import witnesses
 from primebound import bounds, exact, primes
 from primebound import determinants as det
 
@@ -143,7 +144,7 @@ _HUGE_REFUSALS = {
     "mangoldt": lambda t: primes.mangoldt(t, _BIG),
     "psi1_increment": lambda t: primes.psi1_increment(t, -_BIG),
     "lcm_upto": lambda t: primes.lcm_upto(-_BIG),
-    "lcm_upto_prime_powers": lambda t: primes.lcm_upto_prime_powers(-_BIG),
+    "lcm_upto_prime_powers": lambda t: witnesses.lcm_upto_prime_powers(-_BIG),
     "pochhammer_x": lambda t: exact.pochhammer(-_BIG, 1),
     "pochhammer_k": lambda t: exact.pochhammer(1, -_BIG),
     "_grow_log_table": lambda t: exact._grow_log_table(_BIG),
@@ -152,12 +153,12 @@ _HUGE_REFUSALS = {
     "GeneralizedSpec_beta": lambda t: det.GeneralizedSpec((0,), -_BIG),
     "SelbergSpec": lambda t: det.SelbergSpec(-_BIG, 1.0, 1, 1),
     "SelbergSpec_n": lambda t: det.SelbergSpec(1.0, 1.0, 1, -_BIG),
-    "hankel_entry": lambda t: det.hankel_entry(det.HankelSpec(1, 1, 2), _BIG, 1),
+    "hankel_entry": lambda t: witnesses.hankel_entry(det.HankelSpec(1, 1, 2), _BIG, 1),
     "partial_fraction_sum": lambda t: det.partial_fraction_sum(1, 1, -_BIG),
     "basic_integrality": lambda t: det.basic_integrality(1, 1, 1, -_BIG),
     "empirical_table": lambda t: bounds.empirical_table(t, [_BIG], c_star=0.5),
     "empirical_table_negative": lambda t: bounds.empirical_table(t, [-_BIG], c_star=0.5),
-    "chain_partial_sum": lambda t: bounds.chain_partial_sum(0.5, -_BIG),
+    "chain_partial_sum": lambda t: witnesses.chain_partial_sum(0.5, 1.0, -_BIG),
 }
 
 

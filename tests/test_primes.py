@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import witnesses
 from primebound import exact, primes
 
 
@@ -423,24 +424,24 @@ def test_lcm_fixtures():
     assert primes.lcm_upto(1) == 1
     assert primes.lcm_upto(6) == 60
     assert primes.lcm_upto(10) == 2520
-    assert primes.lcm_upto_prime_powers(1) == 1
-    assert primes.lcm_upto_prime_powers(6) == 60
-    assert primes.lcm_upto_prime_powers(10) == 2520
+    assert witnesses.lcm_upto_prime_powers(1) == 1
+    assert witnesses.lcm_upto_prime_powers(6) == 60
+    assert witnesses.lcm_upto_prime_powers(10) == 2520
 
 
 def test_lcm_validation():
     with pytest.raises(ValueError):
         primes.lcm_upto(0)
     with pytest.raises(ValueError):
-        primes.lcm_upto_prime_powers(-1)
+        witnesses.lcm_upto_prime_powers(-1)
 
 
 def test_dual_lcm_routes_agree_to_ten_thousand():
     """Pairwise-lcm fold vs prime-power product, every m up to 10^4.
 
-    Both routes are mirrored incrementally (the package functions
+    Both routes are mirrored incrementally (``lcm_upto`` and the witness
     recompute from scratch per call, which is quadratic when swept), and
-    the package functions themselves are anchored to the mirrors at every
+    the two functions themselves are anchored to the mirrors at every
     cached index plus spot checkpoints beyond the cache.
     """
     top = 10_000
@@ -461,7 +462,7 @@ def test_dual_lcm_routes_agree_to_ten_thousand():
         if m <= 2048:
             assert primes.lcm_upto(m) == fold
         if m <= 256 or m in checkpoints:
-            assert primes.lcm_upto_prime_powers(m) == pp
+            assert witnesses.lcm_upto_prime_powers(m) == pp
         if m in checkpoints:
             assert primes.lcm_upto(m) == fold
 
@@ -473,14 +474,14 @@ def test_lcm_fold_fills_the_cache_to_its_bound(monkeypatch):
         monkeypatch.setattr(primes, "_LCM", [1, 1])
         primes.lcm_upto(first)
         assert len(primes._LCM) == first + 1
-        assert primes.lcm_upto(5000) == primes.lcm_upto_prime_powers(5000)
+        assert primes.lcm_upto(5000) == witnesses.lcm_upto_prime_powers(5000)
         assert len(primes._LCM) == primes._LCM_CACHE_MAX + 1
         for m in (1, 2, 10, 11, 1000, 2047, 2048):
-            assert primes._LCM[m] == primes.lcm_upto_prime_powers(m)
+            assert primes._LCM[m] == witnesses.lcm_upto_prime_powers(m)
 
 
 def test_lcm_cache_boundary_consistency():
     for m in (2047, 2048, 2049, 2060):
         first = primes.lcm_upto(m)
         assert first == primes.lcm_upto(m)  # cached/second path agree
-        assert first == primes.lcm_upto_prime_powers(m)
+        assert first == witnesses.lcm_upto_prime_powers(m)
