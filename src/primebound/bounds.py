@@ -136,11 +136,9 @@ def f_prime(s: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticCoeff:
-    """The pieces of the chained bound at one s: f, g = -f, rho, and c."""
+    """The pieces of the chained bound at one s: f (g = -f), rho, and c."""
 
-    s: float
     f: float
-    g: float
     rho: float
     c: float
 
@@ -149,7 +147,7 @@ def chain_constant(s: float) -> AsymptoticCoeff:
     """c(s) = g(s) / (4s+3), the chained series summed, and rho = (2s+1)/(2s+2)."""
     f = f_coeff(s)
     rho = (2.0 * s + 1.0) / (2.0 * s + 2.0)
-    return AsymptoticCoeff(s=s, f=f, g=-f, rho=rho, c=-f / (4.0 * s + 3.0))
+    return AsymptoticCoeff(f=f, rho=rho, c=-f / (4.0 * s + 3.0))
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,11 @@ class OptimizationResult:
     c_star: float
     evaluations: int
     bracket_width: float
+
+
+# (lo, hi, tol) of optimize_s: the defaults of the ``optimize`` flags, and
+# the search behind empirical_table's c* when none is given.
+DEFAULT_SEARCH = (0.01, 0.99, 1e-9)
 
 
 def optimize_s(lo: float, hi: float, tol: float) -> OptimizationResult:
@@ -268,11 +271,11 @@ def empirical_table(
 ) -> list[EmpiricalRow]:
     """Tabulate psi_1(x), c* x^2 and psi_1(x)/x^2 at the given points.
 
-    When c_star is omitted it is recomputed by :func:`optimize_s` on
-    (0.01, 0.99) at 1e-9, so the table is self-contained.
+    When c_star is omitted it is recomputed by :func:`optimize_s` at
+    :data:`DEFAULT_SEARCH`, so the table is self-contained.
     """
     if c_star is None:
-        c_star = optimize_s(0.01, 0.99, 1e-9).c_star
+        c_star = optimize_s(*DEFAULT_SEARCH).c_star
     for x in xs:
         if not isinstance(x, int) or x < 1:
             raise ValueError(f"table points must be integers >= 1, got {_shown(x)}")

@@ -82,11 +82,7 @@ def _common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--suite",
-        choices=("identities", "inequalities", "selberg", "all"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=suites.SUITES, default=suites.SUITES[-1])  # all
     caps = _VERIFY_CAPS
     p.add_argument("--max-n", type=int, default=8,
                    help=f"matrix sizes up to this n (1..{caps['max_n']})")
@@ -99,9 +95,10 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 
 
 def _optimize_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lo", type=float, default=0.01)
-    p.add_argument("--hi", type=float, default=0.99)
-    p.add_argument("--tol", type=float, default=1e-9)
+    lo, hi, tol = bounds.DEFAULT_SEARCH
+    p.add_argument("--lo", type=float, default=lo)
+    p.add_argument("--hi", type=float, default=hi)
+    p.add_argument("--tol", type=float, default=tol)
 
 
 def _table_args(p: argparse.ArgumentParser) -> None:

@@ -499,13 +499,15 @@ def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
     return abs(generalized_rhs(spec)) * math.prod(lcm_upto(x + spec.beta + n) for x in spec.xs)
 
 
-def random_generalized(
-    rng: random.Random, max_n: int = 6, max_beta: int = 5, max_index: int = 30
-) -> GeneralizedSpec:
+# random_generalized: up to _GEN_MAX_N distinct indices <= _GEN_MAX_INDEX, beta <= _GEN_MAX_BETA.
+_GEN_MAX_N, _GEN_MAX_BETA, _GEN_MAX_INDEX = 6, 5, 30
+
+
+def random_generalized(rng: random.Random) -> GeneralizedSpec:
     """A seeded random index set (distinct, >= 0) and shift beta."""
-    n = rng.randint(1, max_n)
-    xs = tuple(rng.sample(range(max_index + 1), n))
-    return GeneralizedSpec(xs=xs, beta=rng.randint(1, max_beta))
+    n = rng.randint(1, _GEN_MAX_N)
+    xs = tuple(rng.sample(range(_GEN_MAX_INDEX + 1), n))
+    return GeneralizedSpec(xs=xs, beta=rng.randint(1, _GEN_MAX_BETA))
 
 
 # ----------------------------------------------------------------------

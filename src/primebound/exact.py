@@ -70,9 +70,14 @@ def _limbs(values: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndar
             raise ValueError(f"limb factor {scale.max()} exceeds 2^20: a product would overflow")
         top *= scale
         low *= scale
-        top += low >> _LOW
-        low &= (1 << _LOW) - 1
+        _carry_low(top, low)
     return top, low
+
+
+def _carry_low(top: np.ndarray, low: np.ndarray) -> None:
+    """Move the bits of each low limb at 2^43 and above into its top limb, in place."""
+    top += low >> _LOW
+    low &= (1 << _LOW) - 1
 
 
 def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
@@ -92,8 +97,7 @@ def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
         lo[0] += carry[1]
         np.cumsum(t, out=t)
         np.cumsum(lo, out=lo)
-        t += lo >> _LOW
-        lo &= (1 << _LOW) - 1
+        _carry_low(t, lo)
         carry[:] = t[-1], lo[-1]
 
 

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import _LOW, _carry_scan, _exact_prefix_sum, _floats, _limbs, _shown
+from .exact import _carry_low, _carry_scan, _exact_prefix_sum, _floats, _limbs, _shown
 
 _LCM_CACHE_MAX = 2048
 
@@ -254,8 +254,7 @@ def _psi1_at(table: PrimeTable, ms) -> tuple[np.ndarray, np.ndarray]:
     top, low = _limbs(table.run_psi[k], ms - table.run_start[k] + 1)
     top += table.run_psi1_top[k]
     low += table.run_psi1_low[k]
-    top += low >> _LOW
-    low &= (1 << _LOW) - 1
+    _carry_low(top, low)
     return _floats(top, low)
 
 

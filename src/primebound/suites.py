@@ -8,7 +8,9 @@ one per case, handed to :func:`_check`, which counts the cases and names
 the first three failures by their parameters.  The (alpha, beta, n) grid
 is walked by :func:`_specs` alone, so every check over it reports its
 failures in the same order.  Suites never raise on a mathematical failure
-— they record it — but they do raise on invalid arguments.
+— they record it.  :func:`run_suite`, the one entry, takes a name of
+:data:`SUITES`, refuses an unknown name or a size below 1 before any
+elimination, and eliminates the Hankel grid once for the suites that read it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from . import determinants as det
 from .report import Check
 
 _ABN = ("alpha", "beta", "n")
+
+# The suite names; the last, 'all', runs the other three in this order.
+SUITES = ("identities", "inequalities", "selberg", "all")
 
 
 def _check(
@@ -64,18 +69,13 @@ def _hankel_grid(max_n: int, max_ab: int) -> dict[tuple[int, int, int], Fraction
     }
 
 
-def suite_identities(
-    max_n: int, max_ab: int, count: int, seed: int, hankel: dict | None = None
-) -> list[Check]:
+def suite_identities(max_n: int, max_ab: int, count: int, seed: int, hankel: dict) -> list[Check]:
     """Exact determinant identities: closed forms, the lemma, generalized rows.
 
-    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab), built here
-    when not given.
+    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab); the sizes
+    are checked by :func:`run_suite`.
     """
-    if min(max_n, max_ab, count) < 1:
-        raise ValueError("max_n, max_ab and count must all be >= 1")
     rng = random.Random(seed)
-    hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
     # The specialised lemma, one elimination per (alpha, beta), read by both
     # lemma checks; alpha = 2 is swept too when max_ab = 1 leaves it outside
     # the lemma grid, as the consecutive-index check reads it.
@@ -132,9 +132,7 @@ def suite_identities(
 
 
 def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: int) -> list[Check]:
-    """lcm integrality: scaled entries are integers >= 1, products are >= 1."""
-    if min(max_n, max_ab, max_ij, count) < 1:
-        raise ValueError("max_n, max_ab, max_ij and count must all be >= 1")
+    """lcm integrality: scaled entries and products are >= 1; :func:`run_suite` checks the sizes."""
     rng = random.Random(seed)
 
     def entry_cases() -> Iterator[tuple[tuple, bool]]:
@@ -163,17 +161,14 @@ def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: i
     ]
 
 
-def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[Check]:
+def suite_selberg(max_n: int, max_ab: int, hankel: dict) -> list[Check]:
     """Selberg product vs Hankel determinants and vs direct quadrature.
 
-    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab), built here
-    when not given; n! det H from it is compared with the Selberg product
-    at gamma = 1, where the symmetrised integrand is the squared
-    Vandermonde beta-moment, n! times the Hankel determinant.
+    ``hankel`` is the :func:`_hankel_grid` at (max_n, max_ab); the sizes
+    are checked by :func:`run_suite`.  n! det H from it is compared with
+    the Selberg product at gamma = 1, where the symmetrised integrand is
+    the squared Vandermonde beta-moment, n! times the Hankel determinant.
     """
-    if min(max_n, max_ab) < 1:
-        raise ValueError("max_n and max_ab must be >= 1")
-    hankel = _hankel_grid(max_n, max_ab) if hankel is None else hankel
     gamma_one = _check("selberg_gamma_one_matches_hankel", _ABN, (
         ((a, b, n), det.selberg_rhs_exact(det.SelbergSpec(a, b, gamma=1, n=n))
          == math.factorial(n) * hankel[a, b, n])
@@ -196,30 +191,24 @@ def suite_selberg(max_n: int, max_ab: int, hankel: dict | None = None) -> list[C
     return [gamma_one, quadrature]
 
 
-def run_suite(
-    name: str,
-    max_n: int = 8,
-    max_ab: int = 6,
-    max_ij: int = 6,
-    count: int = 100,
-    seed: int = 0,
-) -> list[Check]:
-    """Dispatch by suite name; 'all' concatenates every suite.
+def run_suite(name: str, max_n: int, max_ab: int, max_ij: int, count: int, seed: int) -> list[Check]:
+    """Run the suite ``name`` of :data:`SUITES`; 'all' concatenates the other three.
 
-    'all' eliminates the Hankel grid once and hands it to both suites
-    that read it; nothing is kept past the call.
+    An unknown name, or a size below 1 for any name, is refused before any
+    elimination.  The Hankel grid is eliminated once, here, for the suites
+    that read it (identities and selberg, both of them under 'all');
+    nothing is kept past the call.
     """
-    if name == "identities":
-        return suite_identities(max_n, max_ab, count, seed)
-    if name == "inequalities":
-        return suite_inequalities(max_n, max_ab, max_ij, count, seed)
-    if name == "selberg":
-        return suite_selberg(max_n, max_ab)
-    if name == "all":
-        hankel = _hankel_grid(max_n, max_ab)
-        return (
-            suite_identities(max_n, max_ab, count, seed, hankel)
-            + suite_inequalities(max_n, max_ab, max_ij, count, seed)
-            + suite_selberg(max_n, max_ab, hankel)
-        )
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    if min(max_n, max_ab, max_ij, count) < 1:
+        raise ValueError("max_n, max_ab, max_ij and count must all be >= 1")
+    hankel = None if name == "inequalities" else _hankel_grid(max_n, max_ab)
+    checks = []
+    if name in ("identities", "all"):
+        checks += suite_identities(max_n, max_ab, count, seed, hankel)
+    if name in ("inequalities", "all"):
+        checks += suite_inequalities(max_n, max_ab, max_ij, count, seed)
+    if name in ("selberg", "all"):
+        checks += suite_selberg(max_n, max_ab, hankel)
+    return checks

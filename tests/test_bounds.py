@@ -353,7 +353,7 @@ def test_chain_constant_signs_on_unit_interval():
     while s < 1.0:
         coeff = bounds.chain_constant(s)
         assert coeff.f < 0
-        assert coeff.g == -coeff.f > 0
+        assert coeff.f == bounds.f_coeff(s)
         assert 0.0 < coeff.rho < 1.0
         assert coeff.c > 0
         s += 0.02
@@ -385,7 +385,7 @@ def test_chain_partial_sum_converges():
 def test_chain_partial_sum_first_term():
     for s in (0.2, 0.5, 0.8):
         coeff = bounds.chain_constant(s)
-        first = coeff.g / (4.0 * (s + 1.0) ** 2)
+        first = -coeff.f / (4.0 * (s + 1.0) ** 2)
         assert math.isclose(witnesses.chain_partial_sum(s, -bounds.f_coeff(s), 0), first, rel_tol=1e-15)
 
 

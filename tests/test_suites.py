@@ -1,13 +1,14 @@
 """The verification suites share one Hankel grid and report as before.
 
-``run_suite("all")`` eliminates each (alpha, beta) Hankel matrix once and
-hands the determinants to the identities and Selberg suites; these tests
-pin that its report is the concatenation of the suites run alone, that
-the specialised lemma is eliminated once per (alpha, beta) of its grid,
-the sweeps read by both the lemma check and the consecutive-index check
-(whose rows are that matrix at alpha = 2, swept apart only when alpha = 2
-is outside the grid), and that every grid and sweep is rebuilt on every
-call rather than cached.
+``run_suite`` is the suites' one entry: it refuses a size below 1 for every
+suite name before any elimination, and eliminates each (alpha, beta) Hankel
+matrix once for the identities and Selberg suites.  These tests pin that
+refusal, that the report of ``run_suite("all")`` is the concatenation of
+the three suites run alone through ``run_suite``, that the specialised
+lemma is eliminated once per (alpha, beta) of its grid, the sweeps read by
+both the lemma check and the consecutive-index check (whose rows are that
+matrix at alpha = 2, swept apart only when alpha = 2 is outside the grid),
+and that every grid and sweep is rebuilt on every call rather than cached.
 """
 
 from fractions import Fraction
@@ -21,12 +22,10 @@ from primebound import suites
 @pytest.mark.parametrize("max_n, max_ab, count", [(4, 3, 20), (6, 5, 30)])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_all_is_the_suites_run_alone(max_n, max_ab, count, seed):
-    got = suites.run_suite("all", max_n=max_n, max_ab=max_ab, max_ij=4, count=count, seed=seed)
-    want = (
-        suites.suite_identities(max_n, max_ab, count, seed)
-        + suites.suite_inequalities(max_n, max_ab, 4, count, seed)
-        + suites.suite_selberg(max_n, max_ab)
-    )
+    sizes = {"max_n": max_n, "max_ab": max_ab, "max_ij": 4, "count": count, "seed": seed}
+    got = suites.run_suite("all", **sizes)
+    want = [c for name in ("identities", "inequalities", "selberg")
+            for c in suites.run_suite(name, **sizes)]
     assert [c.name for c in got] == [c.name for c in want]
     for g, w in zip(got, want):
         assert (g.passed, g.cases, g.witness) == (w.passed, w.cases, w.witness)
@@ -43,6 +42,17 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(det, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("suite", ["identities", "inequalities", "selberg", "all"])
+@pytest.mark.parametrize("zero", ["max_n", "max_ab", "max_ij", "count"])
+def test_every_suite_refuses_a_size_below_one_before_any_elimination(monkeypatch, suite, zero):
+    calls = [_count_calls(monkeypatch, name)
+             for name in ("hankel_dets", "specialized_lemma_sides", "basic_integrality")]
+    sizes = {"max_n": 3, "max_ab": 2, "max_ij": 2, "count": 2, zero: 0}
+    with pytest.raises(ValueError, match=r"^max_n, max_ab, max_ij and count must all be >= 1$"):
+        suites.run_suite(suite, seed=0, **sizes)
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize(
