@@ -19,9 +19,10 @@ determinant lemma, generalises the row indices from consecutive integers
 to arbitrary ones, and attaches the lcm inequalities that turn these
 determinants into prime-counting information:
 
-* every entry times d_{alpha+beta+i+j-1} is a positive integer, where
-  d_m = lcm(1..m) — because the entry is an integral of x^(a-1)(1-x)^(b-1)
-  expanded by partial fractions with denominators below the lcm cutoff;
+* an entry depends on i + j = m alone, and times d_{alpha+beta+m-1} it
+  is a positive integer, where d_k = lcm(1..k) — because the entry is an
+  integral of x^(a-1)(1-x)^(b-1) expanded by partial fractions with
+  denominators below the lcm cutoff;
 * a sharper product form bounds det H itself:
       prod_{i=1}^{n} d_{alpha+beta+n+i-3} (n-i)! (beta+i-2)! / (alpha+i-1)_{beta+n-1}  >= 1,
   whose non-lcm part is exactly det H (reindex the factorials to see it).
@@ -64,7 +65,8 @@ lemma row at X = x, B_t = t, A_t = t+beta, with integer entries
 (x+2)_{j-1} (x+j+beta+1)_{n-j}, so :func:`lemma_rows`, the one builder
 of lemma matrices (one prefix and one suffix product per row), builds it
 too.  An entry is never a Fraction there, and each value (a determinant,
-a closed form, an lcm-scaled entry) is one Fraction, reduced once.  The
+a closed form, a beta moment) is one Fraction, reduced once; an
+lcm-scaled entry is d times its moment (:func:`basic_integrality`).  The
 specialised lemma matrices are nested too, up to a row scaling: the
 suffix product of a row at size N has N-n more factors than at size n,
 so the leading n x n block of the size-N matrix is the size-n matrix
@@ -355,12 +357,12 @@ def krattenthaler_sides(inst: KrattenthalerInstance) -> tuple[int, int]:
     )
 
 
-def random_krattenthaler(rng: random.Random, max_n: int = 6, bound: int = 50) -> KrattenthalerInstance:
-    """A seeded random lemma instance with 1 <= n <= max_n, values in [-bound, bound]."""
+def random_krattenthaler(rng: random.Random, max_n: int = 6) -> KrattenthalerInstance:
+    """A seeded random lemma instance: 1 <= n <= max_n, each value within +-_LEMMA_BOUND."""
     n = rng.randint(1, max_n)
-    x = tuple(rng.randint(-bound, bound) for _ in range(n))
-    a = tuple(rng.randint(-bound, bound) for _ in range(n - 1))
-    b = tuple(rng.randint(-bound, bound) for _ in range(n - 1))
+    x = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n))
+    a = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n - 1))
+    b = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n - 1))
     return KrattenthalerInstance(x=x, a=a, b=b)
 
 
@@ -414,18 +416,17 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
 # ----------------------------------------------------------------------
 
 
-def basic_integrality(alpha: int, beta: int, i: int, j: int) -> Fraction:
-    """The (i, j) entry times d_{alpha+beta+i+j-1}; the result is a positive integer.
+def basic_integrality(alpha: int, beta: int, m: int) -> Fraction:
+    """The (i+j=m) Hankel entry times d_{alpha+beta+m-1}; the result is a positive integer.
 
-    That is d * (beta-1)! / (alpha+i+j-2)_beta, as one Fraction.  Wasteful
-    on purpose: the partial-fraction denominators only reach
-    alpha+beta+i+j-3, so the lcm cutoff has two spare indices.  The
-    sharper per-row inequality is :func:`improved_product`.
+    That is d times :func:`beta_moment` (alpha+m-2, beta).  Wasteful on
+    purpose: the partial-fraction denominators only reach alpha+beta+m-3
+    (:func:`partial_fraction_sum`), so the lcm cutoff has two spare
+    indices.  The sharper per-row inequality is :func:`improved_product`.
     """
-    if min(alpha, beta, i, j) < 1:
-        raise ValueError(f"all of alpha, beta, i, j must be >= 1, got {_shown((alpha, beta, i, j))}")
-    d = lcm_upto(alpha + beta + i + j - 1)
-    return Fraction(d * math.factorial(beta - 1), pochhammer(alpha + i + j - 2, beta))
+    if alpha < 1 or beta < 1 or m < 2:
+        raise ValueError(f"need alpha, beta >= 1 and m >= 2, got {_shown((alpha, beta, m))}")
+    return lcm_upto(alpha + beta + m - 1) * beta_moment(alpha + m - 2, beta)
 
 
 def improved_product(spec: HankelSpec) -> Fraction:
@@ -499,6 +500,8 @@ def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
     return abs(generalized_rhs(spec)) * math.prod(lcm_upto(x + spec.beta + n) for x in spec.xs)
 
 
+# random_krattenthaler: every X, A and B in [-_LEMMA_BOUND, _LEMMA_BOUND].
+_LEMMA_BOUND = 50
 # random_generalized: up to _GEN_MAX_N distinct indices <= _GEN_MAX_INDEX, beta <= _GEN_MAX_BETA.
 _GEN_MAX_N, _GEN_MAX_BETA, _GEN_MAX_INDEX = 6, 5, 30
 

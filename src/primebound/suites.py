@@ -136,10 +136,16 @@ def suite_inequalities(max_n: int, max_ab: int, max_ij: int, count: int, seed: i
     rng = random.Random(seed)
 
     def entry_cases() -> Iterator[tuple[tuple, bool]]:
+        # Entry (i, j) and its lcm cutoff depend on m = i + j alone, so each
+        # (alpha, beta, m) is scaled once and its verdict read by every (i, j).
         ab, ij = range(1, max_ab + 1), range(1, max_ij + 1)
-        for v in itertools.product(ab, ab, ij, ij):
-            scaled = det.basic_integrality(*v)
-            yield v, scaled.denominator == 1 and scaled.numerator >= 1
+        for a, b in itertools.product(ab, ab):
+            ok = {}
+            for m in range(2, 2 * max_ij + 1):
+                scaled = det.basic_integrality(a, b, m)
+                ok[m] = scaled.denominator == 1 and scaled.numerator >= 1
+            for i, j in itertools.product(ij, ij):
+                yield (a, b, i, j), ok[i + j]
 
     # Every entry is checked before the first improved product is built.
     entries = _check(

@@ -4,7 +4,7 @@ Every identity is verified against an independent route: cofactor
 expansion for small determinants, naive rational elimination against the
 fraction-free path, direct beta-integral factorials for matrix entries
 (both from ``witnesses``), and seeded random instances for the polynomial
-determinant lemma.
+determinant lemma, which a grid of points also proves for n <= 4.
 """
 
 import itertools
@@ -398,6 +398,50 @@ def test_lemma_random_instances():
         assert lhs == rhs
 
 
+def _lemma_grid(n):
+    """(points, failures) of the lemma over {0..n-1}^(3n-2) with distinct X.
+
+    X in {0..n-1}^n with distinct entries is a permutation of 0..n-1.
+    """
+    points = failures = 0
+    for x in itertools.permutations(range(n)):
+        for ab in itertools.product(range(n), repeat=2 * n - 2):
+            inst = det.KrattenthalerInstance(x, ab[: n - 1], ab[n - 1 :])
+            lhs, rhs = det.krattenthaler_sides(inst)
+            points += 1
+            failures += lhs != rhs
+    return points, failures
+
+
+def test_lemma_is_proven_on_a_grid_for_n_up_to_three():
+    """The lemma holds identically for n <= 3, not only at sampled points.
+
+    For fixed n, det - product is a polynomial P in the 3n - 2 variables
+    X_1..X_n, A_2..A_n, B_2..B_n, of degree at most n - 1 in each:
+    entry (i, j) has n - 1 factors, each linear in X_i, and the
+    determinant takes one entry per row; B_t sits in the n - t + 1
+    columns j >= t and A_t in the t - 1 columns j < t, each linearly, and
+    the determinant takes one entry per column.  The product side has the
+    same degrees: X_i is in n - 1 differences, B_i in n - i + 1 and A_j in
+    j - 1.  By Alon's Combinatorial Nullstellensatz, Lemma 2.1 (Combin.
+    Probab. Comput. 8 (1999) 7-29), a polynomial whose degree in each
+    variable is below n and which vanishes on {0, ..., n-1}^(3n-2) is
+    zero.  At a point with two equal X_i both sides are 0 (two equal
+    rows; a zero difference), so only the n! n^(2n-2) points with
+    distinct X need evaluating: 1 + 8 + 486 = 495 for n <= 3, and
+    98,304 at n = 4 (the slow test below).  n = 5 would need
+    120 * 5^8, about 4.7e7 points, out of reach for a pure-Python test;
+    from n = 5 on the lemma is only sampled, by the random instances.
+    """
+    assert [_lemma_grid(n) for n in (1, 2, 3)] == [(1, 0), (8, 0), (486, 0)]
+
+
+@pytest.mark.slow
+def test_lemma_is_proven_on_a_grid_at_n_four():
+    """n = 4 by the grid argument of the n <= 3 test: 24 * 4^6 points."""
+    assert _lemma_grid(4) == (98_304, 0)
+
+
 def _krattenthaler_entrywise(inst):
     """The lemma matrix entry by entry, each an O(n) product."""
     n = len(inst.x)
@@ -508,12 +552,12 @@ def test_nested_sweeps_refuse_a_doctored_matrix(monkeypatch, rows, fault):
 
 
 def test_basic_integrality_fixtures():
-    # Cutoff is alpha+beta+i+j-1 throughout, so at (1,1,1,1) the scale is
-    # lcm(1..3) = 6 and the scaled unit entry is 6.
-    assert (lcm_upto(3), det.basic_integrality(1, 1, 1, 1)) == (6, 6)
-    assert (lcm_upto(4), det.basic_integrality(1, 2, 1, 1)) == (12, 6)
-    assert (lcm_upto(6), det.basic_integrality(2, 3, 1, 1)) == (60, 5)
-    assert type(det.basic_integrality(2, 3, 1, 1)) is Fraction
+    # Cutoff is alpha+beta+m-1 throughout, so at (1,1) and m = i + j = 2
+    # the scale is lcm(1..3) = 6 and the scaled unit entry is 6.
+    assert (lcm_upto(3), det.basic_integrality(1, 1, 2)) == (6, 6)
+    assert (lcm_upto(4), det.basic_integrality(1, 2, 2)) == (12, 6)
+    assert (lcm_upto(6), det.basic_integrality(2, 3, 2)) == (60, 5)
+    assert type(det.basic_integrality(2, 3, 2)) is Fraction
 
 
 def test_basic_integrality_grid():
@@ -522,14 +566,15 @@ def test_basic_integrality_grid():
         for beta in range(1, 9):
             for i in range(1, 7):
                 for j in range(1, 7):
-                    w = det.basic_integrality(alpha, beta, i, j)
+                    w = det.basic_integrality(alpha, beta, i + j)
                     assert w.denominator == 1
                     assert w >= 1
 
 
 def test_basic_integrality_validation():
-    with pytest.raises(ValueError):
-        det.basic_integrality(1, 1, 0, 1)
+    for args in [(1, 1, 1), (0, 1, 2), (1, 0, 2)]:
+        with pytest.raises(ValueError, match=r"^need alpha, beta >= 1 and m >= 2, got \("):
+            det.basic_integrality(*args)
 
 
 def test_improved_product_fixtures():
@@ -708,7 +753,7 @@ def test_generalized_lhs_is_the_scaled_lemma(xs, beta):
 
 def test_basic_integrality_is_lcm_times_beta_moment():
     for alpha, beta, i, j in itertools.product(range(1, 9), repeat=4):
-        w = det.basic_integrality(alpha, beta, i, j)
+        w = det.basic_integrality(alpha, beta, i + j)
         assert w == lcm_upto(alpha + beta + i + j - 1) * witnesses.moment(alpha + i + j - 2, beta)
 
 

@@ -155,7 +155,7 @@ _HUGE_REFUSALS = {
     "SelbergSpec_n": lambda t: det.SelbergSpec(1.0, 1.0, 1, -_BIG),
     "hankel_entry": lambda t: witnesses.hankel_entry(det.HankelSpec(1, 1, 2), _BIG, 1),
     "partial_fraction_sum": lambda t: det.partial_fraction_sum(1, 1, -_BIG),
-    "basic_integrality": lambda t: det.basic_integrality(1, 1, 1, -_BIG),
+    "basic_integrality": lambda t: det.basic_integrality(1, 1, -_BIG),
     "empirical_table": lambda t: bounds.empirical_table(t, [_BIG], c_star=0.5),
     "empirical_table_negative": lambda t: bounds.empirical_table(t, [-_BIG], c_star=0.5),
     "chain_partial_sum": lambda t: witnesses.chain_partial_sum(0.5, 1.0, -_BIG),

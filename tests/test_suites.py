@@ -8,7 +8,8 @@ the three suites run alone through ``run_suite``, that the specialised
 lemma is eliminated once per (alpha, beta) of its grid, the sweeps read by
 both the lemma check and the consecutive-index check (whose rows are that
 matrix at alpha = 2, swept apart only when alpha = 2 is outside the grid),
-and that every grid and sweep is rebuilt on every call rather than cached.
+that the lcm entry check scales each (alpha, beta, i + j) once, and that
+every grid and sweep is rebuilt on every call rather than cached.
 """
 
 from fractions import Fraction
@@ -53,6 +54,22 @@ def test_every_suite_refuses_a_size_below_one_before_any_elimination(monkeypatch
     with pytest.raises(ValueError, match=r"^max_n, max_ab, max_ij and count must all be >= 1$"):
         suites.run_suite(suite, seed=0, **sizes)
     assert calls == [[], [], []]
+
+
+@pytest.mark.parametrize("max_ab, max_ij", [(2, 3), (3, 6)])
+def test_entry_check_scales_each_alpha_beta_m_once(monkeypatch, max_ab, max_ij):
+    # Entry (i, j) depends on m = i + j alone: 2 max_ij - 1 values per
+    # (alpha, beta), each scaled once, read by all max_ij^2 cases.
+    calls = _count_calls(monkeypatch, "basic_integrality")
+    sizes = {"max_n": 2, "max_ab": max_ab, "max_ij": max_ij, "count": 2, "seed": 0}
+    checks = suites.run_suite("inequalities", **sizes)
+    ab = range(1, max_ab + 1)
+    assert len(calls) == max_ab**2 * (2 * max_ij - 1)
+    assert sorted(calls) == [(a, b, m) for a in ab for b in ab for m in range(2, 2 * max_ij + 1)]
+    assert (checks[0].name, checks[0].cases) == (
+        "lcm_times_entry_is_positive_integer", max_ab**2 * max_ij**2
+    )
+    assert checks[0].passed
 
 
 @pytest.mark.parametrize(
@@ -107,8 +124,9 @@ _FAULTS = [
     ("specialized_lemma_sides", lambda a, b, max_n: a == 2,
      lambda v: [(d + (n > 1), *rest) for n, (d, *rest) in enumerate(v, 1)]),
     ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
-    ("basic_integrality", lambda a, b, i, j: i == j == 2 or a == 2,
-     lambda v: v + Fraction(1, 2)),
+    # An entry depends on m = i + j alone; m == 3 fails at (i, j) = (1, 2)
+    # before (2, 1), so the i, j order is pinned too.
+    ("basic_integrality", lambda a, b, m: m == 3 or a == 2, lambda v: v + Fraction(1, 2)),
     ("improved_product", lambda s: s.n == 2 or s.beta == 3, lambda v: Fraction(0)),
     ("generalized_inequality", lambda s: len(s.xs) == 2, lambda v: Fraction(1, 2)),
     ("selberg_rhs_exact", lambda s: s.gamma == 1 and (s.n == 2 or s.alpha == 3),
@@ -130,7 +148,7 @@ _SHARED = {
     "consecutive_indices_match_hankel": [
         {"n": 2, "beta": 1}, {"n": 2, "beta": 2}, {"n": 2, "beta": 3}
     ],
-    "lcm_times_entry_is_positive_integer": _abij((1, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 2)),
+    "lcm_times_entry_is_positive_integer": _abij((1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 2)),
     "improved_product_at_least_one": _abn((1, 3, 1), (2, 3, 1), (3, 3, 1)),
     "selberg_gamma_one_matches_hankel": _abn((3, 1, 1), (3, 2, 1), (3, 3, 1)),
     "quadrature_matches_product": [
