@@ -241,8 +241,8 @@ def _cmd_sieve(args) -> tuple[dict, list[report.Check]]:
     if not 1 <= m <= primes.MAX_LIMIT:
         raise ValueError(f"--limit must be in [1, {primes.MAX_LIMIT}], got {_shown(m)}")
     table = primes.build_table(m)
-    # Self-checks: increments stored exactly; psi matches ln lcm(1..m) at
-    # a modest point; psi grows like m.
+    # Self-checks: psi matches ln lcm(1..m) at a modest point; the last
+    # increments of psi_1 equal the stored psi exactly.
     probe = min(m, 1000)
     psi_probe = primes.psi(table, probe)
     lcm_ok = abs(psi_probe - math.log(primes.lcm_upto(probe))) <= 1e-9 * max(1.0, probe)

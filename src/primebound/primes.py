@@ -29,11 +29,13 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
   every limit up to ``MAX_LIMIT`` = 9e7.  So the increment
   psi_1(m) - psi_1(m-1) equals the stored psi(m) exactly, bit for bit,
   which :func:`psi1_increment` exposes.
-* The dense arrays, 8 bytes per integer each, are built only on first
-  access, from the runs: ``mangoldt_base``, ``psi_cum``, and ``psi1_hi``,
-  which ``increment_check`` reads and :func:`_psi1_at` fills a block at a
-  time.  :func:`psi`, :func:`psi1` and :func:`mangoldt` read the runs and
-  build none of them.
+* The dense arrays, 8 bytes per integer each, are built from the runs,
+  each in its own anonymous mapping, so that dropping one hands its pages
+  back to the system at once.  ``mangoldt_base`` and ``psi_cum`` are built
+  anew on every read and never stored; ``psi1_hi``, which
+  ``increment_check`` reads once per window, is built on first access, a
+  block at a time by :func:`_psi1_at`, and kept.  :func:`psi`,
+  :func:`psi1` and :func:`mangoldt` read the runs and build none of them.
 
 lcm(1..m) is a pairwise-lcm fold on from a cache (:func:`lcm_upto`).  The
 tests play it against a prime-power product, ``lcm_upto_prime_powers`` in
@@ -43,6 +45,7 @@ tests play it against a prime-power product, ``lcm_upto_prime_powers`` in
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,18 +130,22 @@ class PrimeTable:
     powers, roots:
         int64; the prime powers p^k with k >= 2, ascending, and their p.
 
-    Dense arrays, built on first access (8 bytes per integer each)
-    ---------------------------------------------------------------
+    Dense arrays, built from the runs (8 bytes per integer each)
+    -------------------------------------------------------------
     mangoldt_base:
-        int64; entry m is p when m = p^k, else 0.
+        int64; entry m is p when m = p^k, else 0.  Built on every read.
     psi_cum:
-        float64; psi(m), run_psi expanded over every m.
+        float64; psi(m), run_psi expanded over every m.  Built on every
+        read, a block of runs at a time.
     psi1_hi:
         float64; psi_1(m) summed exactly over the stored psi values and
         correctly rounded (limits <= MAX_LIMIT): the hi of :func:`_psi1_at`,
-        filled a block at a time, without building psi_cum.
+        filled a block at a time, without building psi_cum.  Built on first
+        access and kept, a plain instance attribute from then on.
 
-    Each is frozen and, once built, a plain instance attribute.
+    Each is frozen and lives in its own anonymous mapping (:func:`_mapped`):
+    a read of the first two returns a new array, whose pages go back to the
+    system when the caller drops it, not to the heap.
     """
 
     limit: int
@@ -149,29 +156,53 @@ class PrimeTable:
     powers: np.ndarray
     roots: np.ndarray
 
-    @cached_property
+    @property
     def mangoldt_base(self) -> np.ndarray:
-        base = np.zeros(self.limit + 1, dtype=np.int64)
+        base = _mapped(self.limit + 1, np.int64)
         at = self.run_start[1:]
         base[at] = at
         base[self.powers] = self.roots
         base.setflags(write=False)
         return base
 
-    @cached_property
+    @property
     def psi_cum(self) -> np.ndarray:
-        psi = np.repeat(self.run_psi, np.diff(self.run_start, append=self.limit + 1))
+        psi = _mapped(self.limit + 1, np.float64)
+        starts, runs = self.run_start, self.run_start.size
+        for a in range(0, runs, _BLOCK):
+            b = min(a + _BLOCK, runs)
+            stop = starts.item(b) if b < runs else self.limit + 1
+            lengths = np.diff(starts[a:b], append=stop)
+            psi[starts.item(a) : stop] = np.repeat(self.run_psi[a:b], lengths)
         psi.setflags(write=False)
         return psi
 
     @cached_property
     def psi1_hi(self) -> np.ndarray:
-        hi = np.empty(self.limit + 1)
+        hi = _mapped(self.limit + 1, np.float64)
         for start in range(0, self.limit + 1, _BLOCK):
             stop = min(start + _BLOCK, self.limit + 1)
             hi[start:stop] = _psi1_at(self, np.arange(start, stop))[0]
         hi.setflags(write=False)
         return hi
+
+
+def _mapped(size: int, dtype) -> np.ndarray:
+    """A zeroed, writable array of ``size`` entries in its own private anonymous mapping.
+
+    Dropping the last reference unmaps it, so its pages leave the process at
+    once.  An array of limit + 1 entries from the heap (``np.zeros``) would
+    not: once glibc frees one such block it raises its mmap threshold to
+    that size (up to 32 MiB), later ones land on the heap, and their freed
+    pages stay resident, so the peak grows with each array built and
+    dropped.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    if hasattr(mmap, "MAP_PRIVATE"):
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:  # Windows: no flags; a -1 mapping is anonymous already
+        buf = mmap.mmap(-1, nbytes)
+    return np.frombuffer(buf, dtype=dtype)
 
 
 def build_table(limit: int) -> PrimeTable:

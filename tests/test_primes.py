@@ -7,9 +7,15 @@ reconstruction for the stored-increment identity.
 """
 
 import itertools
+import json
 import math
+import mmap
 import operator
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,10 +79,11 @@ def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
     q = 2**53
     s_psi = s_psi1 = 0
     bad = []
+    base, psi_cum = t.mangoldt_base, t.psi_cum  # each read builds the array
     for start in range(0, t.limit + 1, chunk):
         ms = np.arange(start, min(start + chunk, t.limit + 1))
-        lam = np.log(np.maximum(t.mangoldt_base[ms], 1).astype(np.float64))
-        psi = t.psi_cum[ms]
+        lam = np.log(np.maximum(base[ms], 1).astype(np.float64))
+        psi = psi_cum[ms]
         # Times 2^53 (exact), each float is an integer, and int() takes it exactly.
         psi_sums = [*itertools.accumulate(map(int, (lam * q).tolist()), initial=s_psi)][1:]
         psi1_sums = [*itertools.accumulate(map(int, (psi * q).tolist()), initial=s_psi1)][1:]
@@ -158,13 +165,15 @@ def test_mangoldt_matches_trial_division(table_million):
 
 
 def test_mangoldt_base_matches_bytearray_sieve(table_million):
-    assert table_million.mangoldt_base.tolist() == _bytearray_mangoldt_base(1_000_000)
+    million = table_million.mangoldt_base
+    assert million.tolist() == _bytearray_mangoldt_base(1_000_000)
     # The bases at a smaller limit are a prefix of these, and the run starts
     # after 0 are the positions of the prime powers.
     for limit in (*range(1, 41), B - 1, B + 1, 1_000_000):
         t = primes.build_table(limit)
-        assert t.mangoldt_base.tolist() == table_million.mangoldt_base[: limit + 1].tolist(), limit
-        assert t.run_start[1:].tolist() == np.flatnonzero(t.mangoldt_base).tolist(), limit
+        base = t.mangoldt_base
+        assert base.tolist() == million[: limit + 1].tolist(), limit
+        assert t.run_start[1:].tolist() == np.flatnonzero(base).tolist(), limit
 
 
 def test_mangoldt_validation(table_small):
@@ -292,15 +301,18 @@ def test_point_reads_equal_dense_arrays_million(table_million):
 
 @pytest.mark.parametrize("first", ["mangoldt_base", "psi_cum", "psi1_hi"])
 def test_each_dense_array_is_built_once_whichever_is_read_first(first):
-    # Neither array builds another; reading the rest leaves the first in place.
+    # psi1_hi is built once and kept.  mangoldt_base and psi_cum are built
+    # on every read, distinct arrays with equal bytes, and a read of either
+    # stores nothing on the table and builds no psi1_hi.
     t, ref = primes.build_table(B + 1), primes.build_table(B + 1)
     arr = getattr(t, first)
-    assert DENSE & vars(t).keys() == {first}
-    built = {name: getattr(t, name) for name in sorted(DENSE)}
-    assert built[first] is arr
-    for name in DENSE:
-        assert vars(t)[name] is built[name] is getattr(t, name)
-        assert built[name].tobytes() == getattr(ref, name).tobytes()
+    assert DENSE & vars(t).keys() == ({first} if first == "psi1_hi" else set())
+    for name in sorted(DENSE):
+        a, b = getattr(t, name), getattr(t, name)
+        assert (a is b) == (name == "psi1_hi") == np.shares_memory(a, b), name
+        assert a.tobytes() == b.tobytes() == getattr(ref, name).tobytes(), name
+    assert DENSE & vars(t).keys() == {"psi1_hi"}
+    assert first != "psi1_hi" or t.psi1_hi is arr
 
 
 def test_psi1_increments_equal_stored_psi_over_ranges(table_small):
@@ -329,12 +341,13 @@ def test_psi1_at_reads_unsorted_points_with_repeats(table_small):
 
 def test_run_sums_start_at_every_prime_power(table_small):
     t = table_small
-    assert t.run_start.tolist() == [0, *np.flatnonzero(t.mangoldt_base).tolist()]
+    base = t.mangoldt_base
+    assert t.run_start.tolist() == [0, *np.flatnonzero(base).tolist()]
     assert t.run_psi1_top[0] == t.run_psi1_low[0] == 0
     assert t.run_psi.tolist() == t.psi_cum[t.run_start].tolist()
-    pk = [m for m in t.run_start[1:].tolist() if t.mangoldt_base[m] != m]
+    pk = [m for m in t.run_start[1:].tolist() if base[m] != m]
     assert t.powers.tolist() == pk
-    assert t.roots.tolist() == t.mangoldt_base[pk].tolist()
+    assert t.roots.tolist() == base[pk].tolist()
     assert np.all(t.run_psi1_low < 2**43)
 
 
@@ -385,9 +398,9 @@ def test_build_table_peak_memory_is_its_sparse_arrays():
 
 
 def test_dense_psi1_peak_memory_is_its_array():
-    # psi1_hi is filled a block at a time, so building it costs the array
-    # plus block-sized temporaries: with mangoldt_base and psi_cum, the
-    # three arrays plus 2 MB.
+    # psi1_hi is filled a block at a time into its own anonymous mapping,
+    # which tracemalloc does not see: the traced peak is the fill's
+    # block-sized temporaries alone, and the array's buffer is the mapping.
     t = primes.build_table(1_000_000)
     tracemalloc.start()
     try:
@@ -395,7 +408,60 @@ def test_dense_psi1_peak_memory_is_its_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= hi.nbytes + 2 * 2**20, (peak, hi.nbytes)
+    assert peak <= 2 * 2**20, (peak, hi.nbytes)
+    assert isinstance(hi.base, memoryview) and isinstance(hi.base.obj, mmap.mmap)
+
+
+def _has_vm_hwm() -> bool:
+    try:
+        with open("/proc/self/status") as f:
+            return any(line.startswith("VmHWM:") for line in f)
+    except OSError:
+        return False
+
+
+# A fresh interpreter, so that no earlier test's heap or peak counts: build
+# two tables and sha256 both dense views of each, as the sieve benchmark's
+# record does, then print how far the peak RSS rose above the RSS before.
+_READ_BOTH_VIEWS = """
+import hashlib, json
+import numpy as np
+from primebound import primes
+
+def kib(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+before = kib("VmRSS")
+for limit in (2_844_308, 4_000_000):
+    t = primes.build_table(limit)
+    runs = sum(a.nbytes for a in vars(t).values() if isinstance(a, np.ndarray))
+    for name in ("mangoldt_base", "psi_cum"):
+        hashlib.sha256(getattr(t, name).data).hexdigest()
+print(json.dumps({"growth": (kib("VmHWM") - before) * 1024, "runs": runs}))
+"""
+
+
+@pytest.mark.skipif(not _has_vm_hwm(), reason="/proc/self/status has no VmHWM")
+def test_reading_both_dense_views_peaks_at_one_view():
+    # Each read builds its view in its own mapping and the caller drops it,
+    # so the peak holds one 4e6 view (30.5 MB), at most two tables' run
+    # arrays and block-sized temporaries.  Cached on the table, both views
+    # stayed resident (growth 76.7 MB); built per read on the heap, glibc
+    # kept the freed pages of earlier views resident (62.6 MB).
+    package_root = str(Path(primes.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_BOTH_VIEWS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    view = 8 * (4_000_000 + 1)
+    assert got["growth"] < view + 2 * got["runs"] + 4 * 2**20, (got, view)
 
 
 @pytest.mark.slow
