@@ -206,7 +206,9 @@ def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
     swaps the k-th pivot is the k-th leading principal minor (Sylvester's
     identity), so the last is the determinant.  With ``swap`` a zero pivot
     trades places with a lower row and the pivots yielded carry the sign
-    of the swaps so far.  A zero pivot left in place is yielded last.
+    of the swaps so far; a zero pivot left in place is yielded last.
+    Without ``swap`` a zero pivot is a zero leading minor, which no matrix
+    eliminated so here has, and raises ``RuntimeError`` as a fault.
     """
     n = len(m)
     sign = prev = 1
@@ -217,6 +219,11 @@ def _bareiss_pivots(m: list[list[int]], swap: bool) -> Iterator[int]:
                 m[k], m[r], sign = m[r], m[k], -sign
         row_k = m[k]
         pivot = row_k[k]
+        if pivot == 0 and not swap:
+            raise RuntimeError(
+                f"elimination without row swaps met a zero leading minor at size {k + 1}; "
+                "this cannot happen for valid parameters and signals a fault"
+            )
         yield sign * pivot
         if pivot == 0:
             return
@@ -274,16 +281,8 @@ def hankel_dets(alpha: int, beta: int, max_n: int) -> list[Fraction]:
     over the first k row scales is det H_k, reduced once.
     """
     rows, scales = hankel_rows(HankelSpec(alpha, beta, max_n))
-    dets, den = [], 1
-    for pivot, scale in zip(_bareiss_pivots(rows, swap=False), scales):
-        if pivot == 0:
-            raise RuntimeError(
-                "Hankel beta-moment matrix has a zero leading minor; "
-                "this cannot happen for valid parameters and signals a fault"
-            )
-        den *= scale
-        dets.append(Fraction(pivot, den))
-    return dets
+    dens = itertools.accumulate(scales, operator.mul)
+    return [*map(Fraction, _bareiss_pivots(rows, swap=False), dens)]
 
 
 def hankel_det(spec: HankelSpec) -> Fraction:
@@ -357,9 +356,9 @@ def krattenthaler_sides(inst: KrattenthalerInstance) -> tuple[int, int]:
     )
 
 
-def random_krattenthaler(rng: random.Random, max_n: int = 6) -> KrattenthalerInstance:
-    """A seeded random lemma instance: 1 <= n <= max_n, each value within +-_LEMMA_BOUND."""
-    n = rng.randint(1, max_n)
+def random_krattenthaler(rng: random.Random) -> KrattenthalerInstance:
+    """A seeded random lemma instance: 1 <= n <= _LEMMA_MAX_N, each value within +-_LEMMA_BOUND."""
+    n = rng.randint(1, _LEMMA_MAX_N)
     x = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n))
     a = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n - 1))
     b = tuple(rng.randint(-_LEMMA_BOUND, _LEMMA_BOUND) for _ in range(n - 1))
@@ -388,9 +387,10 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
     elimination without row swaps gives every det M_n: its n-th pivot is
     that block's determinant (Sylvester's identity), divided exactly by
     the n row growths.  The lemma product is nonzero for beta >= 1 (each
-    B_i - A_j = i-j-beta < 0), so a zero pivot or a remainder raises
-    ``RuntimeError`` as a fault.  The product comes from the closed form,
-    factor by factor, not from the elimination.
+    B_i - A_j = i-j-beta < 0), so a zero pivot (refused by the
+    elimination) or a remainder raises ``RuntimeError`` as a fault.  The
+    product comes from the closed form, factor by factor, not from the
+    elimination.
     """
     inst = specialize_to_hankel(HankelSpec(alpha, beta, max_n))
     rows = lemma_rows(inst.x, inst.a, inst.b)
@@ -398,11 +398,11 @@ def specialized_lemma_sides(alpha: int, beta: int, max_n: int) -> list[tuple[int
     for n, pivot in enumerate(_bareiss_pivots(rows, swap=False), 1):
         growth = math.prod(pochhammer(i + alpha + beta + n - 1, max_n - n) for i in range(n))
         d, r = divmod(pivot, growth)
-        if pivot == 0 or r:
+        if r:
             raise RuntimeError(
-                f"leading {n} x {n} block of the specialised lemma matrix has "
-                f"{'a zero minor' if pivot == 0 else 'a minor not divisible by its row growth'}; "
-                "this cannot happen for valid parameters and signals a fault"
+                f"leading {n} x {n} block of the specialised lemma matrix has a minor "
+                "not divisible by its row growth; this cannot happen for valid "
+                "parameters and signals a fault"
             )
         # X_i - X_n for i < n, and B_i - A_n for 2 <= i <= n.
         rhs *= math.prod(range(1 - n, 0)) * math.prod(range(2 - n - beta, -beta + 1))
@@ -445,15 +445,6 @@ def improved_product(spec: HankelSpec) -> Fraction:
         for i in rows
     )
     return Fraction(top, math.prod(pochhammer(a + i - 1, b + n - 1) for i in rows))
-
-
-def generalized_sides(spec: GeneralizedSpec) -> tuple[Fraction, Fraction]:
-    """Both sides of the non-consecutive-index determinant identity.
-
-    lhs = det( (beta-1)! / (x_i+j+1)_beta )_{i,j=1..n}, by elimination
-    (:func:`generalized_lhs`); rhs = :func:`generalized_rhs`, the closed form.
-    """
-    return generalized_lhs(spec), generalized_rhs(spec)
 
 
 def generalized_lhs(spec: GeneralizedSpec) -> Fraction:
@@ -500,8 +491,8 @@ def generalized_inequality(spec: GeneralizedSpec) -> Fraction:
     return abs(generalized_rhs(spec)) * math.prod(lcm_upto(x + spec.beta + n) for x in spec.xs)
 
 
-# random_krattenthaler: every X, A and B in [-_LEMMA_BOUND, _LEMMA_BOUND].
-_LEMMA_BOUND = 50
+# random_krattenthaler: up to _LEMMA_MAX_N variables, each X, A and B within +-_LEMMA_BOUND.
+_LEMMA_MAX_N, _LEMMA_BOUND = 6, 50
 # random_generalized: up to _GEN_MAX_N distinct indices <= _GEN_MAX_INDEX, beta <= _GEN_MAX_BETA.
 _GEN_MAX_N, _GEN_MAX_BETA, _GEN_MAX_INDEX = 6, 5, 30
 

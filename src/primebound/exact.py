@@ -3,10 +3,11 @@
 Everything downstream (Hankel determinants, lcm inequalities, asymptotic
 coefficients) reduces to factorials, Pochhammer symbols and logarithms of
 very large integers.  The integer side is exact by construction: Python
-ints and ``fractions.Fraction`` never round, and every exact closed form
-(det H, Delta_n, the Selberg product, the lemma's row scaling) is one
-:func:`factorial_ratio`.  The float side is where the
-care goes, and the rules used throughout the package are:
+ints and ``fractions.Fraction`` never round, and det H and the Selberg
+product are each one :func:`factorial_ratio` (Delta_n and the lemma's row
+scaling are factorial ratios only in the tests, ``tests/witnesses.py``).
+The float side is where the care goes, and the rules used throughout the
+package are:
 
 * ``math.lgamma`` / ``math.log`` give relative error of a few ulp, far
   below the 1e-12 per-operation budget assumed by callers;
@@ -22,8 +23,8 @@ care goes, and the rules used throughout the package are:
   mantissa and a power of two, so the relative error stays a few ulp at
   any size.
 
-Log-superfactorials ln G(k+1) come from a table grown on demand for k <= 2**16,
-so grid sweeps pay for each value once, and from the Barnes G series above it.
+Log-superfactorials ln G(k+1) come from a table for k <= 2**16, rebuilt at
+least doubled when a read passes its end, and from the Barnes G series above it.
 """
 
 from __future__ import annotations
@@ -34,14 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# _LSF[k] == sum(ln j!, j < k), extended on demand; _CARRY holds the exact
-# limb totals behind ln((len(_LSF) - 2)!) and _LSF[-1], from which the next
-# block of growth continues.
+# _LSF[k] == sum(ln j!, j < k), rebuilt longer on demand.
 _LSF: list[float] = [0.0, 0.0]
-_CARRY = np.zeros((2, 2), dtype=np.int64)
 
 _LOG_SEAM = 1 << 16  # largest k in _LSF: 2.5 MB, summing to far below the scan's 2^52
-_LOG_BLOCK = 1 << 12  # entries added per step of table growth
+_LOG_BLOCK = 1 << 12  # fewest entries a rebuilt table holds
 _HALF_LN_2PI = 0.91893853320467274178  # ln(2 pi) / 2
 _ZETA_M1 = -0.16542114370045092921  # zeta'(-1)
 
@@ -140,25 +138,23 @@ def _exact_prefix_sum(values: np.ndarray, carry: np.ndarray, hi: np.ndarray) -> 
 
 
 def _grow_log_table(k: int) -> None:
-    """Extend _LSF a block at a time until it covers 0 <= k <= _LOG_SEAM.
+    """Rebuild _LSF in one pass, to cover 0 <= k <= _LOG_SEAM.
 
-    _LSF[k] = _LSF[k-1] + ln (k-1)!, so a block of _LSF from index
-    ``start`` needs ln j! for start-1 <= j < stop-1: one scan of the
-    ``math.log(j)`` terms gives those, a second scan sums them, and the ln j!
-    block is dropped.  Each ln j and each ln j! is 0 or at least ln 2, so
-    all are multiples of 2^-53 and the limb scan sums them exactly.  A k
-    past _LOG_SEAM is a ``ValueError``: the table stops there.
+    The new length is k + 1, at least double the old and _LOG_BLOCK, at
+    most _LOG_SEAM + 1.  _LSF[j + 1] = _LSF[j] + ln j!: a scan of the
+    ``math.log(j)`` terms gives the ln j!, a second sums them, each from a
+    zero carry.  Each term is 0 or at least ln 2, a multiple of 2^-53, so
+    the limb scans are exact and every entry is its exact sum rounded once,
+    at any length.  A k past _LOG_SEAM is a ``ValueError``: the table stops there.
     """
     if k > _LOG_SEAM:
         raise ValueError(f"the ln G table stops at k = {_LOG_SEAM}, got {_shown(k)}")
-    while len(_LSF) <= k:
-        start = len(_LSF)
-        stop = min(start + _LOG_BLOCK, _LOG_SEAM + 1)
-        # math.log, not np.log: the two differ in the last bit at some j.
-        terms = np.fromiter(map(math.log, range(start - 1, stop - 1)), np.float64, stop - start)
-        _exact_prefix_sum(terms, _CARRY[0], terms)  # ln j!
-        _exact_prefix_sum(terms, _CARRY[1], terms)  # _LSF[j + 1]
-        _LSF.extend(terms.tolist())
+    size = min(max(k + 1, 2 * len(_LSF), _LOG_BLOCK), _LOG_SEAM + 1)
+    # math.log, not np.log: the two differ in the last bit at some j.
+    terms = np.fromiter(map(math.log, range(1, size - 1)), np.float64, size - 2)
+    _exact_prefix_sum(terms, np.zeros(2, dtype=np.int64), terms)  # ln j!
+    _exact_prefix_sum(terms, np.zeros(2, dtype=np.int64), terms)  # _LSF[j + 1]
+    _LSF[2:] = terms.tolist()
 
 
 def _digits(k: int) -> int:

@@ -459,10 +459,17 @@ def _krattenthaler_entrywise(inst):
     return rows
 
 
+def _random_lemma_instance(rng, max_n):
+    """A lemma instance drawn as random_krattenthaler draws one, with up to max_n variables."""
+    n = rng.randint(1, max_n)
+    x, a, b = ([rng.randint(-50, 50) for _ in range(k)] for k in (n, n - 1, n - 1))
+    return det.KrattenthalerInstance(x=tuple(x), a=tuple(a), b=tuple(b))
+
+
 @_PROPERTY
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_krattenthaler_matrix_matches_entrywise_products(seed, max_n):
-    inst = det.random_krattenthaler(random.Random(seed), max_n=max_n)
+    inst = _random_lemma_instance(random.Random(seed), max_n)
     assert det.lemma_rows(inst.x, inst.a, inst.b) == _krattenthaler_entrywise(inst)
 
 
@@ -529,10 +536,10 @@ def test_consecutive_sweep_equals_generalized_lhs_at_each_n():
     "rows, fault",
     [
         # Zero first pivot; a row swap would give det -1.
-        ([[0, 1], [1, 0]], "zero minor"),
+        ([[0, 1], [1, 0]], "zero leading minor"),
         # Leading 2 x 2 block singular, the whole matrix not; the first
         # pivot, 12, is a multiple of the sweep's first row growth.
-        ([[12, 12, 1], [12, 12, 2], [1, 2, 1]], "zero minor"),
+        ([[12, 12, 1], [12, 12, 2], [1, 2, 1]], "zero leading minor"),
         # Every pivot nonzero, but the first is not a multiple of its row growth.
         ([[1, 1], [1, 2]], "not divisible"),
     ],
@@ -611,18 +618,23 @@ def test_improved_product_non_lcm_factor_is_determinant():
 # ----------------------------------------------------------------------
 
 
+def _generalized_sides(xs, beta):
+    spec = det.GeneralizedSpec(xs=xs, beta=beta)
+    return det.generalized_lhs(spec), det.generalized_rhs(spec)
+
+
 def test_generalized_fixtures():
-    lhs, rhs = det.generalized_sides(det.GeneralizedSpec(xs=(0,), beta=1))
+    lhs, rhs = _generalized_sides((0,), 1)
     assert lhs == rhs == Fraction(1, 2)
-    lhs, rhs = det.generalized_sides(det.GeneralizedSpec(xs=(0, 1), beta=1))
+    lhs, rhs = _generalized_sides((0, 1), 1)
     assert lhs == rhs == Fraction(1, 72)
-    lhs, rhs = det.generalized_sides(det.GeneralizedSpec(xs=(0, 2), beta=2))
+    lhs, rhs = _generalized_sides((0, 2), 2)
     assert lhs == rhs
 
 
 def test_generalized_sides_antisymmetric_in_row_order():
-    a = det.generalized_sides(det.GeneralizedSpec(xs=(0, 3, 7), beta=2))
-    b = det.generalized_sides(det.GeneralizedSpec(xs=(3, 0, 7), beta=2))
+    a = _generalized_sides((0, 3, 7), 2)
+    b = _generalized_sides((3, 0, 7), 2)
     assert a[0] == a[1] and b[0] == b[1]
     assert a[0] == -b[0] != 0
 
@@ -631,8 +643,7 @@ def test_generalized_identity_random():
     rng = random.Random(1)
     for _ in range(40):
         spec = det.random_generalized(rng)
-        lhs, rhs = det.generalized_sides(spec)
-        assert lhs == rhs
+        assert det.generalized_lhs(spec) == det.generalized_rhs(spec)
 
 
 def test_generalized_inequality():
@@ -661,15 +672,14 @@ def test_generalized_rhs_is_closed_form_side():
     rng = random.Random(6)
     for _ in range(60):
         spec = det.random_generalized(rng)
-        lhs, rhs = det.generalized_sides(spec)
-        assert det.generalized_rhs(spec) == rhs == lhs
+        assert det.generalized_rhs(spec) == det.generalized_lhs(spec)
         assert det.generalized_inequality(spec) == _generalized_inequality_oracle(spec)
 
 
 def test_consecutive_indices_collapse_to_hankel():
     for n in range(1, 7):
         for beta in range(1, 6):
-            lhs, rhs = det.generalized_sides(det.GeneralizedSpec(tuple(range(n)), beta))
+            lhs, rhs = _generalized_sides(tuple(range(n)), beta)
             assert lhs == rhs
             assert lhs == det.closed_form_det(det.HankelSpec(alpha=2, beta=beta, n=n))
 

@@ -311,6 +311,23 @@ def test_log_tables_equal_exact_integer_sums():
     assert not (bad := _log_table_mismatches(_log_table_oracle(1 << 16))), bad[:5]
 
 
+def test_log_table_grown_in_steps_equals_one_full_build(monkeypatch):
+    # Each growth rebuilds the table from zero carries, so a table grown in
+    # steps holds, bit for bit, the prefix of one built straight to the seam.
+    monkeypatch.setattr(exact, "_LSF", [0.0, 0.0])
+    exact._grow_log_table(exact._LOG_SEAM)
+    full = np.array(exact._LSF)
+    monkeypatch.setattr(exact, "_LSF", [0.0, 0.0])
+    lengths = []
+    for k in (5, 2_338, 4_097, 1 << 16):
+        exact.log_superfactorial(k)
+        lengths.append(len(exact._LSF))
+        assert np.array(exact._LSF).tobytes() == full[: lengths[-1]].tobytes(), k
+    # No growth for a k the table holds; otherwise at least double, at most the seam.
+    block, seam = exact._LOG_BLOCK, exact._LOG_SEAM
+    assert lengths == [block, block, 2 * block, seam + 1]
+
+
 def test_log_table_cap_keeps_superfactorial_sum_exact():
     # The limb scan is exact below 2^52, and the table stops at the seam.
     # For j < K = seam + 1, ln j! <= j ln K < j * bit_length(K), so

@@ -108,6 +108,52 @@ def _point_read_mismatches(t, ms) -> list:
     ]
 
 
+def _check_runs_exact(t, chunk: int = 1 << 16) -> None:
+    """Every run of ``t`` against exact sums over an independent sieve, ``chunk`` runs at a time.
+
+    The run starts and their primes come from ``witnesses.prime_power_runs``.
+    Lambda = ln p is taken by ``np.log``, as the package takes it, and each
+    Lambda and each stored psi is 0 or at least ln 2, so times 2^53 it is an
+    integer: the Python-int sums below are exact, and int / int rounds each
+    once.  So run_psi must equal the psi sums bit for bit, and
+    top * 2^43 + low the exact S_k, the sum of len_j * stored psi_j over
+    j < k.  ``_psi1_at`` is read at both ends of each chunk's first, middle
+    and last run, against the exact S_k + (m - start_k + 1) psi_k.
+    The ``MAX_LIMIT`` bound rests on psi(m) < 1.03883 m (Rosser and
+    Schoenfeld 1962, Theorem 12), checked at every run start, where psi(m)/m
+    peaks on its run, and on psi_1(limit) < 2^52, checked at the end.
+    """
+    q = 2**53
+    starts, bases = witnesses.prime_power_runs(t.limit)
+    assert t.run_start.tobytes() == starts.tobytes()
+    psi = s = 0  # 2^53 psi and S before the chunk
+    for a in range(0, starts.size, chunk):
+        b = min(a + chunk, starts.size)
+        lam = np.log(bases[a:b].astype(np.float64)) * q
+        psis = [*itertools.accumulate(map(int, lam.tolist()), initial=psi)][1:]
+        psi = psis[-1]
+        stored = t.run_psi[a:b]
+        assert np.array([x / q for x in psis]).tobytes() == stored.tobytes(), a
+        first = starts[a:b].tolist()
+        ends = [*first[1:], t.limit + 1 if b == starts.size else starts.item(b)]
+        steps = [int(x * q) for x in stored.tolist()]
+        totals = map(operator.mul, map(operator.sub, ends, first), steps)
+        sums = [*itertools.accumulate(totals, initial=s)]
+        s = sums.pop()
+        limbs = zip(t.run_psi1_top[a:b].tolist(), t.run_psi1_low[a:b].tolist(), strict=True)
+        assert [(top << exact._LOW) + low for top, low in limbs] == sums, a
+        mid = (b - a) // 2
+        reads = [(j, m) for j in (0, mid, b - a - 1) for m in (first[j], ends[j] - 1)]
+        want = [sums[j] + (m - first[j] + 1) * steps[j] for j, m in reads]
+        hi, lo = primes._psi1_at(t, [m for _, m in reads])
+        assert hi.tolist() == [w / q for w in want], a
+        assert lo.tolist() == [(w - int(h * q)) / q for w, h in zip(want, hi.tolist())], a
+        skip = int(a == 0)  # run 0 starts at m = 0
+        ratio = stored[skip:] / starts[a + skip : b]
+        assert ratio.max(initial=0.0) < 1.03883, a
+    assert s < 2**52 * q  # psi_1(limit) < 2^52
+
+
 def _sampled(limit: int) -> list:
     """Every 997th index up to limit, and the last 300."""
     return sorted({*range(0, limit + 1, 997), *range(max(0, limit - 299), limit + 1)})
@@ -462,6 +508,16 @@ def test_reading_both_dense_views_peaks_at_one_view():
     got = json.loads(proc.stdout)
     view = 8 * (4_000_000 + 1)
     assert got["growth"] < view + 2 * got["runs"] + 4 * 2**20, (got, view)
+
+
+def test_runs_equal_exact_sums_over_an_independent_sieve(table_million):
+    _check_runs_exact(table_million)
+
+
+@pytest.mark.slow
+def test_runs_equal_exact_sums_at_max_limit():
+    # The largest limit build_table accepts, where psi_1 comes nearest 2^52.
+    _check_runs_exact(primes.build_table(primes.MAX_LIMIT))
 
 
 @pytest.mark.slow

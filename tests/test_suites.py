@@ -123,7 +123,7 @@ _FAULTS = [
     # The consecutive-index check reads the same sweep, so it fails there too.
     ("specialized_lemma_sides", lambda a, b, max_n: a == 2,
      lambda v: [(d + (n > 1), *rest) for n, (d, *rest) in enumerate(v, 1)]),
-    ("generalized_sides", lambda s: s.beta == 2, lambda v: (v[0], v[1] + 1)),
+    ("generalized_rhs", lambda s: s.beta == 2, lambda v: v + 1),
     # An entry depends on m = i + j alone; m == 3 fails at (i, j) = (1, 2)
     # before (2, 1), so the i, j order is pinned too.
     ("basic_integrality", lambda a, b, m: m == 3 or a == 2, lambda v: v + Fraction(1, 2)),

@@ -3,12 +3,12 @@
 Each function here recomputes a value that ``primebound`` computes, by
 other arithmetic: moments, scalings and Delta_n(s) straight from
 ``math.factorial`` products, determinants by plain Gaussian elimination
-over ``Fraction``, d_m from a sieve of its own, the chained constant as an
-explicit geometric sum.  No command runs any of them.  From ``primebound``
-this module imports only spec dataclasses, which hold parameters and no
-arithmetic, so no witness shares code with the route it checks;
-``test_layout`` parses this file and fails on any other import from the
-package.
+over ``Fraction``, d_m and the prime powers from sieves of their own, the
+chained constant as an explicit geometric sum.  No command runs any of
+them.  From ``primebound`` this module imports only spec dataclasses,
+which hold parameters and no arithmetic, so no witness shares code with
+the route it checks; ``test_layout`` parses this file and fails on any
+other import from the package.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 from primebound.bounds import BoundParams
 from primebound.determinants import HankelSpec
@@ -148,6 +150,36 @@ def lcm_upto_prime_powers(m: int) -> int:
             pw *= p
         result *= pw
     return result
+
+
+def prime_power_runs(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """0 and every prime power up to ``limit``, ascending, and the prime of each (1 for 0).
+
+    These are where the prime table's psi runs start.  A plain sieve, one
+    bool for every integer up to ``limit``, crosses out the multiples of
+    each prime up to sqrt(limit); the powers p^k (k >= 2) of those primes
+    come by repeated multiplication, and one sort merges them in.
+    Independent of ``primes``' odd-only sieve and its marked powers.
+    """
+    if limit < 1:
+        raise ValueError(f"prime_power_runs requires limit >= 1, got {_shown(limit)}")
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    found = np.flatnonzero(is_prime)
+    del is_prime
+    powers, roots = [0], [1]  # run 0 starts at 0, before any prime
+    for p in found[: found.searchsorted(math.isqrt(limit), "right")].tolist():
+        pk = p * p
+        while pk <= limit:
+            powers.append(pk)
+            roots.append(p)
+            pk *= p
+    starts = np.concatenate([found, np.array(powers, dtype=np.int64)])
+    order = np.argsort(starts)
+    return starts[order], np.concatenate([found, np.array(roots, dtype=np.int64)])[order]
 
 
 # ----------------------------------------------------------------------
