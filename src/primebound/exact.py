@@ -12,12 +12,11 @@ package are:
 * ``math.lgamma`` / ``math.log`` give relative error of a few ulp, far
   below the 1e-12 per-operation budget assumed by callers;
 * every long running sum (psi and psi_1 in ``primes``, ln G(n+1) here)
-  adds nonnegative multiples of 2^-53 and goes through one exact
-  integer-limb carry scan, :func:`_carry_scan` (through
-  :func:`_exact_prefix_sum` where the sums are wanted as floats), and every
-  exact limb sum becomes a float through one split, :func:`_floats`, so
-  each stored partial sum is the exact sum of its float terms, correctly
-  rounded; short sums use ``math.fsum``;
+  adds nonnegative multiples of 2^-53 exactly and rounds each partial sum
+  once: terms below 2^5 (Lambda, ln j) in two float limbs with no carry
+  step, :func:`_small_prefix_sum`; larger ones in the integer-limb carry
+  scan :func:`_carry_scan`, each sum made a float by one split,
+  :func:`_floats`; short sums use ``math.fsum``;
 * the logarithm of an integer too large for a float is ``math.log`` of
   the int itself: CPython splits it into a correctly rounded 53-bit
   mantissa and a power of two, so the relative error stays a few ulp at
@@ -48,37 +47,38 @@ _SCAN_LEN = (1 << 20) - 1  # values per cumsum: with the carry, 2^20 lows < 2^43
 _MAX_SCALE = 1 << 20  # largest factor of _limbs: a low limb times it stays below 2^63
 
 
-def _limbs(values: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _limbs(values: np.ndarray, scale=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     """``values * 2^53`` (times ``scale``) as exact int64 limbs top * 2^43 + low, low < 2^43.
 
     ``values`` are nonnegative multiples of 2^-53, below 2^52 also when
     scaled.  ``scale``, an optional int64 array of factors in [0, 2^20],
     multiplies both limbs: a low limb times 2^20 is below 2^63, so each
     product is exact, and its bits above 2^43 move into top.  A larger
-    factor is a ``ValueError``.
+    factor is a ``ValueError``.  ``out`` = (top, low, float64 scratch), each
+    as long as ``values``, takes the limbs with no array allocated.
     """
-    low = values * 1024.0  # values * 2^53 = (top + low) * 2^43
-    top = np.trunc(low)
-    low -= top  # exact: the fraction of a nonnegative float is a float
-    low *= 2.0**_LOW
-    top = top.astype(np.int64)  # one at a time: the float top is freed before low converts
-    low = low.astype(np.int64)
+    top, low, f = out or (np.empty(values.shape, np.int64), np.empty(values.shape, np.int64), None)
+    f = np.multiply(values, 1024.0, out=f)  # values * 2^53 = (top + low) * 2^43
+    np.trunc(f, out=top, casting="unsafe")
+    f -= top  # exact: the fraction of a nonnegative float is a float
+    f *= 2.0**_LOW
+    np.copyto(low, f, casting="unsafe")
     if scale is not None:
         if scale.max(initial=0) > _MAX_SCALE:
             raise ValueError(f"limb factor {scale.max()} exceeds 2^20: a product would overflow")
         top *= scale
         low *= scale
-        _carry_low(top, low)
+        _carry_low(top, low, f.view(np.int64))
     return top, low
 
 
-def _carry_low(top: np.ndarray, low: np.ndarray) -> None:
-    """Move the bits of each low limb at 2^43 and above into its top limb, in place."""
-    top += low >> _LOW
+def _carry_low(top: np.ndarray, low: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Move each low limb's bits from 2^43 up into its top limb, in place, through ``scratch``."""
+    top += np.right_shift(low, _LOW, out=scratch)
     low &= (1 << _LOW) - 1
 
 
-def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
+def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray, scratch=None) -> None:
     """Turn the limbs of each term into the limbs of the running total, in place.
 
     Term i is top[i] * 2^43 + low[i] with low[i] < 2^43.  ``carry`` holds the
@@ -86,7 +86,8 @@ def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
     term and advanced in place to the total after the last, so consecutive
     calls sum as one array.  Each limb is summed by one ``cumsum`` per part of
     2^20 - 1 terms (``_SCAN_LEN``), so no low-limb sum reaches 2^63; on return
-    every low limb is below 2^43 again.  Exact for totals below 2^105.
+    every low limb is below 2^43 again, the moved bits through ``scratch``
+    (int64, as long as ``top``) if given.  Exact for totals below 2^105.
     """
     for start in range(0, top.size, _SCAN_LEN):
         part = slice(start, start + _SCAN_LEN)
@@ -95,7 +96,7 @@ def _carry_scan(top: np.ndarray, low: np.ndarray, carry: np.ndarray) -> None:
         lo[0] += carry[1]
         np.cumsum(t, out=t)
         np.cumsum(lo, out=lo)
-        _carry_low(t, lo)
+        _carry_low(t, lo, None if scratch is None else scratch[part])
         carry[:] = t[-1], lo[-1]
 
 
@@ -137,22 +138,47 @@ def _exact_prefix_sum(values: np.ndarray, carry: np.ndarray, hi: np.ndarray) -> 
     _floats(top, low, hi)
 
 
+def _small_prefix_sum(values: np.ndarray, carry: np.ndarray, scratch: np.ndarray) -> None:
+    """Continue an inclusive prefix sum of under 2^23 terms below 2^5 in place, exactly.
+
+    A term, 0 or a multiple of 2^-53, times 2^24 is an integer hi < 2^29 plus
+    a fraction lo in units of 2^-29, so both limb sums stay below 2^52 units:
+    float cumsums are exact, and fl(sum hi + sum lo) is the sum rounded once.
+    ``carry`` = (sum hi, sum lo, count) before ``values``, advanced in place;
+    ``scratch`` is float64 as long as ``values``.  Else a ``ValueError``.
+    """
+    n, top = values.size, values.max(initial=0.0)
+    if carry[2] + n >= 1 << 23 or top >= 32.0:
+        raise ValueError(f"{int(carry[2]) + n} terms, largest {top}: exact under 2^23 below 2^5")
+    lo = np.multiply(values, 2.0**24, out=scratch[:n])
+    np.trunc(lo, out=values)
+    lo -= values
+    values[:1] += carry[0]
+    lo[:1] += carry[1]
+    np.cumsum(values, out=values)
+    np.cumsum(lo, out=lo)
+    if n:
+        carry[:] = values[-1], lo[-1], carry[2] + n
+    values += lo
+    values *= 2.0**-24
+
+
 def _grow_log_table(k: int) -> None:
     """Rebuild _LSF in one pass, to cover 0 <= k <= _LOG_SEAM.
 
     The new length is k + 1, at least double the old and _LOG_BLOCK, at
-    most _LOG_SEAM + 1.  _LSF[j + 1] = _LSF[j] + ln j!: a scan of the
-    ``math.log(j)`` terms gives the ln j!, a second sums them, each from a
-    zero carry.  Each term is 0 or at least ln 2, a multiple of 2^-53, so
-    the limb scans are exact and every entry is its exact sum rounded once,
-    at any length.  A k past _LOG_SEAM is a ``ValueError``: the table stops there.
+    most _LOG_SEAM + 1.  _LSF[j + 1] = _LSF[j] + ln j!: a carry-free scan of
+    the ``math.log(j)`` terms gives the ln j!, a limb carry scan sums them,
+    each from a zero carry.  Each term is 0 or at least ln 2, a multiple of
+    2^-53, so both scans are exact and every entry is its exact sum rounded
+    once, at any length.  A k past _LOG_SEAM is a ``ValueError``: the table stops there.
     """
     if k > _LOG_SEAM:
         raise ValueError(f"the ln G table stops at k = {_LOG_SEAM}, got {_shown(k)}")
     size = min(max(k + 1, 2 * len(_LSF), _LOG_BLOCK), _LOG_SEAM + 1)
     # math.log, not np.log: the two differ in the last bit at some j.
     terms = np.fromiter(map(math.log, range(1, size - 1)), np.float64, size - 2)
-    _exact_prefix_sum(terms, np.zeros(2, dtype=np.int64), terms)  # ln j!
+    _small_prefix_sum(terms, np.zeros(3), np.empty_like(terms))  # ln j!, each ln j < 12
     _exact_prefix_sum(terms, np.zeros(2, dtype=np.int64), terms)  # _LSF[j + 1]
     _LSF[2:] = terms.tolist()
 

@@ -13,16 +13,16 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
   merged in afterwards.
 * ``run_psi[k]`` = psi(run_start[k]) = sum of Lambda(j) over j up to
   run_start[k], as a correctly-rounded float, where Lambda(p^k) = ln p.
-  Every Lambda value is 0 or at least ln 2, hence an integer multiple of
-  2^-53, so the integer-limb scan shared with ``exact``'s log tables sums
-  them exactly, and each stored psi is its exact sum rounded once, which
-  makes it monotone.
-* psi_1(m) = sum_{j<=m} psi(j), summed the same way over the *stored* psi
+  Every Lambda value is 0 or in [ln 2, 2^5), an integer multiple of 2^-53,
+  and there are under 2^23 runs, so the carry-free scan shared with
+  ``exact``'s log tables sums them exactly, and each stored psi is its
+  exact sum rounded once, which makes it monotone.
+* psi_1(m) = sum_{j<=m} psi(j), summed exactly over the *stored* psi
   floats.  psi_1 is linear on each run, so the table keeps only S_k, the
-  exact psi_1 before run k, as int64 limbs from a scan over the run
-  totals.  Both scans walk the runs in cache-sized blocks, the psi sum of a
-  block just before its run totals, each continuing from the exact limb
-  totals of the block before.
+  exact psi_1 before run k, as int64 limbs from a carry scan over the run
+  totals.  Both scans walk the runs in cache-sized blocks, the psi sum of
+  a block just before its run totals, in place in the run arrays and two
+  block buffers, each continuing from the exact totals of the block before.
 * Every read of psi_1 is one vector read, :func:`_psi1_at`: it sums
   psi_1(m) = S_k + (m - start_k + 1) psi(m) exactly in limbs and rounds it
   once to (hi, lo), hi correctly rounded and lo the exact remainder, for
@@ -32,10 +32,11 @@ about 2.5 bytes per integer at 1e6 and 2.1 at 1e7.
 * The dense arrays, 8 bytes per integer each, are built from the runs,
   each in its own anonymous mapping, so that dropping one hands its pages
   back to the system at once.  ``mangoldt_base`` and ``psi_cum`` are built
-  anew on every read and never stored; ``psi1_hi``, which
-  ``increment_check`` reads once per window, is built on first access, a
-  block at a time by :func:`_psi1_at`, and kept.  :func:`psi`,
-  :func:`psi1` and :func:`mangoldt` read the runs and build none of them.
+  anew on every read by a scatter (``psi_cum`` then a running max) and
+  never stored; ``psi1_hi``, which ``increment_check`` reads once per
+  window, is built on first access, a block at a time by :func:`_psi1_at`,
+  and kept.  :func:`psi`, :func:`psi1` and :func:`mangoldt` read the runs
+  and build none of them.
 
 lcm(1..m) is a pairwise-lcm fold on from a cache (:func:`lcm_upto`).  The
 tests play it against a prime-power product, ``lcm_upto_prime_powers`` in
@@ -51,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import _carry_low, _carry_scan, _exact_prefix_sum, _floats, _limbs, _shown
+from .exact import _carry_low, _carry_scan, _floats, _limbs, _shown, _small_prefix_sum
 
 _LCM_CACHE_MAX = 2048
 
@@ -96,14 +97,15 @@ def _mangoldt_base(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 pk *= q
     # Only now: the loop reads odd[q >> 1] as "q is prime".
     odd[[pk >> 1 for pk, p in powers if p > 2]] = True
-    at = np.flatnonzero(odd) * 2 + 1
+    at = np.flatnonzero(odd)  # i, for each odd prime power 2i + 1
     twos = [0, *(1 << k for k in range(1, int(limit).bit_length()))]
-    slots = at.searchsorted(twos) + np.arange(len(twos))  # where 0, 2, 4, ... land
+    cuts = [*at.searchsorted([t >> 1 for t in twos]).tolist(), at.size]
     starts = np.empty(at.size + len(twos), dtype=np.int64)
-    starts[slots] = twos
-    rest = np.ones(starts.size, dtype=bool)
-    rest[slots] = False
-    starts[rest] = at
+    for j, t in enumerate(twos):
+        starts[cuts[j] + j] = t  # after cuts[j] odd ones and j of twos
+        odds = starts[cuts[j] + j + 1 : cuts[j + 1] + j + 1]
+        np.multiply(at[cuts[j] : cuts[j + 1]], 2, out=odds)
+        odds += 1
     powers.sort()
     roots = np.array([p for _, p in powers], dtype=np.int64)
     return starts, np.array([v for v, _ in powers], dtype=np.int64), roots
@@ -136,7 +138,7 @@ class PrimeTable:
         int64; entry m is p when m = p^k, else 0.  Built on every read.
     psi_cum:
         float64; psi(m), run_psi expanded over every m.  Built on every
-        read, a block of runs at a time.
+        read: run_psi scattered at run_start, then a running max.
     psi1_hi:
         float64; psi_1(m) summed exactly over the stored psi values and
         correctly rounded (limits <= MAX_LIMIT): the hi of :func:`_psi1_at`,
@@ -168,12 +170,10 @@ class PrimeTable:
     @property
     def psi_cum(self) -> np.ndarray:
         psi = _mapped(self.limit + 1, np.float64)
-        starts, runs = self.run_start, self.run_start.size
-        for a in range(0, runs, _BLOCK):
-            b = min(a + _BLOCK, runs)
-            stop = starts.item(b) if b < runs else self.limit + 1
-            lengths = np.diff(starts[a:b], append=stop)
-            psi[starts.item(a) : stop] = np.repeat(self.run_psi[a:b], lengths)
+        psi[self.run_start] = self.run_psi
+        # psi >= 0 is nondecreasing and its bits order as it does: each max copies a run's psi.
+        bits = psi.view(np.int64)
+        np.maximum.accumulate(bits, out=bits)
         psi.setflags(write=False)
         return psi
 
@@ -220,17 +220,19 @@ def build_table(limit: int) -> PrimeTable:
     # S_k is the sum of the run totals len_j psi_j over j < k, so S_0 = 0.
     # Every run but the last is a gap between prime powers, far below _limbs'
     # 2^20 at limit <= MAX_LIMIT, so each product is exact.  Both sums run a
-    # block of runs at a time, each carry holding the exact total so far.
+    # block of runs at a time, in place, each carry holding the exact total so far.
     top, low = np.zeros(starts.size, dtype=np.int64), np.zeros(starts.size, dtype=np.int64)
-    psi_carry, s_carry = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    psi_carry, s_carry = np.zeros(3), np.zeros(2, dtype=np.int64)
+    scratch, gaps = np.empty(_BLOCK), np.empty(_BLOCK, dtype=np.int64)
     for a in range(0, starts.size, _BLOCK):
         block = run_psi[a : a + _BLOCK]
         np.log(block, out=block)
-        _exact_prefix_sum(block, psi_carry, block)
+        _small_prefix_sum(block, psi_carry, scratch)
         b = min(a + _BLOCK, starts.size - 1)  # the last run ends no S_k
-        t, lo = _limbs(run_psi[a:b], np.diff(starts[a : b + 1]))
-        _carry_scan(t, lo, s_carry)
-        top[a + 1 : b + 1], low[a + 1 : b + 1] = t, lo
+        lengths = np.subtract(starts[a + 1 : b + 1], starts[a:b], out=gaps[: b - a])
+        t, lo = top[a + 1 : b + 1], low[a + 1 : b + 1]
+        _limbs(run_psi[a:b], lengths, out=(t, lo, scratch[: b - a]))
+        _carry_scan(t, lo, s_carry, scratch[: b - a].view(np.int64))
     for arr in (starts, run_psi, top, low, powers, roots):
         arr.setflags(write=False)
     return PrimeTable(

@@ -7,7 +7,9 @@ checked against exact integer/rational arithmetic via ``Fraction``, and
 the log-superfactorial series above the table against mpmath's Barnes G.
 """
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -419,3 +421,55 @@ def test_scaled_limbs_are_exact_products(terms, factors):
 def test_limbs_refuse_a_factor_past_two_to_the_twenty():
     with pytest.raises(ValueError, match="exceeds"):
         exact._limbs(np.array([1.0, 1.0]), np.array([1, 2**20 + 1]))
+
+
+def _small_scan_oracle(terms: list) -> list:
+    """Inclusive prefix sums of the terms from Python-int sums of term * 2^53, each rounded once."""
+    q = 2**53
+    return [total / q for total in itertools.accumulate(int(x * q) for x in terms)]
+
+
+@pytest.mark.parametrize("size", [1, 2**15 - 1, 2**15, 2**15 + 1])
+def test_small_prefix_sum_matches_python_ints(size):
+    # Lambda-like terms: 0, then ln of seeded integers up to 2^31 (about 21.5),
+    # summed in blocks of 2^15 that share the carry, as build_table sums them.
+    rng = np.random.default_rng(size)
+    terms = np.log(rng.integers(2, 2**31, size).astype(np.float64))
+    terms[:: 7] = 0.0
+    expected = _small_scan_oracle(terms.tolist())
+    values, carry, scratch = terms.copy(), np.zeros(3), np.empty(2**15)
+    for a in range(0, size, 2**15):
+        exact._small_prefix_sum(values[a : a + 2**15], carry, scratch)
+    assert values.tolist() == expected
+    assert carry[2] == size
+
+
+def test_small_prefix_sum_is_exact_on_terms_just_below_two_to_the_five():
+    # The largest terms it accepts, with bits down to 2^-48, so the fraction
+    # limb is at its widest: a float cumsum of the terms themselves rounds.
+    below = np.nextafter(32.0, 0.0)
+    terms = np.array([below, below - 2.0**-45, 31.0 + 0.5**20, below] * 2500)
+    values = terms.copy()
+    exact._small_prefix_sum(values, np.zeros(3), np.empty_like(values))
+    assert values.tolist() == _small_scan_oracle(terms.tolist())
+    assert np.cumsum(terms).tolist() != values.tolist()
+
+
+def test_small_prefix_sum_refuses_a_term_of_two_to_the_five():
+    for term in (32.0, 1e300, np.inf):
+        values = np.array([1.0, term, 2.0])
+        msg = f"3 terms, largest {term}: exact under 2^23 below 2^5"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            exact._small_prefix_sum(values, np.zeros(3), np.empty(3))
+        assert values.tolist() == [1.0, term, 2.0]
+
+
+def test_small_prefix_sum_refuses_two_to_the_twenty_three_terms():
+    # A zero-stride read-only view: refused before anything is written.
+    many = np.broadcast_to(np.float64(1.0), (2**23,))
+    with pytest.raises(ValueError, match="^8388608 terms, largest 1.0: "):
+        exact._small_prefix_sum(many, np.zeros(3), np.empty(1))
+    # The count carries across blocks: one more term after 2^23 - 1 is refused too.
+    carry = np.array([0.0, 0.0, 2.0**23 - 1])
+    with pytest.raises(ValueError, match="^8388608 terms, largest 1.0: "):
+        exact._small_prefix_sum(np.array([1.0]), carry, np.empty(1))

@@ -100,11 +100,12 @@ def _exact_sum_mismatches(t, chunk: int = 1 << 16) -> list:
 def _point_read_mismatches(t, ms) -> list:
     """Indices m where psi or mangoldt read at m from the runs differs from
     the dense arrays."""
-    base, psi = t.mangoldt_base.tolist(), t.psi_cum.view(np.int64).tolist()
+    ms = list(ms)
+    base, psi = t.mangoldt_base[ms].tolist(), t.psi_cum.view(np.int64)[ms].tolist()
     return [
-        m for m in ms
-        if np.float64(primes.psi(t, m)).view(np.int64) != psi[m]
-        or (m and (primes.mangoldt(t, m) or 0) != base[m])
+        m for m, b, p in zip(ms, base, psi)
+        if np.float64(primes.psi(t, m)).view(np.int64) != p
+        or (m and (primes.mangoldt(t, m) or 0) != b)
     ]
 
 
@@ -456,6 +457,21 @@ def test_dense_psi1_peak_memory_is_its_array():
         tracemalloc.stop()
     assert peak <= 2 * 2**20, (peak, hi.nbytes)
     assert isinstance(hi.base, memoryview) and isinstance(hi.base.obj, mmap.mmap)
+
+
+def test_psi_cum_read_allocates_no_dense_temporary():
+    # psi_cum is scattered from the runs into its own anonymous mapping and
+    # filled by a running max in place: no block of it (2^15 entries, 256 KiB)
+    # nor any run-sized array passes through the heap.
+    t = primes.build_table(1_000_000)
+    tracemalloc.start()
+    try:
+        psi = t.psi_cum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10, peak
+    assert isinstance(psi.base, memoryview) and isinstance(psi.base.obj, mmap.mmap)
 
 
 def _has_vm_hwm() -> bool:
